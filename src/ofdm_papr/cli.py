@@ -69,10 +69,7 @@ def _parse_thresholds(text: str):
         lo, hi, step = (float(x) for x in parts)
     except ValueError:
         raise _UsageError(f"--thresholds expects numeric LO:HI:STEP, got {text!r}")
-    try:
-        return threshold_grid(lo, hi, step)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return threshold_grid(lo, hi, step)
 
 
 def _method_path(out: Path, method: Method) -> Path:

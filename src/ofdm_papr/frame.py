@@ -36,34 +36,31 @@ class PaprSample:
         return cls(linear=float(linear), db=10.0 * math.log10(linear))
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class TimeFrame:
     """Oversampled time-domain frame: L*N complex samples."""
 
-    __slots__ = ("samples", "oversample", "n_subcarriers")
+    samples: np.ndarray
+    oversample: int
 
-    def __init__(self, samples, oversample: int) -> None:
-        arr = np.array(samples, dtype=np.complex128)
+    def __post_init__(self) -> None:
+        arr = np.array(self.samples, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if oversample < 1:
+        if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
-        if arr.size % oversample != 0:
-            raise ValueError(f"sample count {arr.size} is not a multiple of L={oversample}")
+        if arr.size % self.oversample != 0:
+            raise ValueError(f"sample count {arr.size} is not a multiple of L={self.oversample}")
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("samples contain non-finite values")
         if not arr.any():
             raise ValueError("all-zero frame has undefined PAPR")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "oversample", int(oversample))
-        object.__setattr__(self, "n_subcarriers", arr.size // oversample)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TimeFrame is immutable")
-
-    def __repr__(self) -> str:
-        return (f"TimeFrame(n_subcarriers={self.n_subcarriers}, "
-                f"oversample={self.oversample})")
+    @property
+    def n_subcarriers(self) -> int:
+        return self.samples.size // self.oversample
 
 
 def pad_spectrum(symbols: np.ndarray, oversample: int) -> np.ndarray:

@@ -18,17 +18,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .dft import is_power_of_two
-from .frame import papr, synthesize
-from .modulation import ModulationScheme, random_frame
-from .pts import PartitionScheme, make_partition, pts_reduce
-from .slm import generate_phase_sequences, slm_reduce
+from .frame import PaprSample, papr_linear, time_samples
+from .modulation import ModulationScheme, draw_symbols
+# Unused here; perfbench/child.py reads the span of modulation.random_frame,
+# which its tracer finds only through this module's bindings.
+from .modulation import random_frame  # noqa: F401
+from .pts import PartitionScheme, make_partition, pts_search
+from .slm import phase_rotations, slm_search
 from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
 
 _STREAM_FRAME = 0
@@ -49,6 +52,8 @@ def default_threshold_grid() -> np.ndarray:
 
 def threshold_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive ascending dB grid lo, lo+step, ..., up to hi."""
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError("threshold bounds and step must be finite")
     if step <= 0:
         raise ValueError("threshold step must be positive")
     if hi < lo:
@@ -80,7 +85,15 @@ class ExperimentConfig:
     thresholds_db: np.ndarray = field(default_factory=default_threshold_grid)
 
     def validate(self) -> None:
-        """Reject any config whose downstream structural preconditions fail."""
+        """Reject any config whose downstream preconditions fail; the cores trust it."""
+        for name, kind in (("modulation", ModulationScheme), ("method", Method),
+                           ("partition_scheme", PartitionScheme)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         if not is_power_of_two(self.n_subcarriers):
             raise ValueError(f"n_subcarriers={self.n_subcarriers} is not a power of two")
         if self.oversample < 1:
@@ -102,23 +115,17 @@ class ExperimentConfig:
         if self.pts_phase_order not in (2, 4):
             raise ValueError(f"pts_phase_order={self.pts_phase_order} not in (2, 4)")
         grid = np.asarray(self.thresholds_db, dtype=np.float64)
-        if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
-            raise ValueError("thresholds must be a non-empty strictly ascending grid")
+        if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+                or not np.all(np.diff(grid) > 0)):
+            raise ValueError("thresholds must be a non-empty strictly ascending finite grid")
 
     def as_dict(self) -> dict:
-        return {
-            "n_subcarriers": self.n_subcarriers,
-            "modulation": self.modulation.value,
-            "oversample": self.oversample,
-            "method": self.method.value,
-            "slm_branches": self.slm_branches,
-            "pts_blocks": self.pts_blocks,
-            "pts_phase_order": self.pts_phase_order,
-            "partition_scheme": self.partition_scheme.value,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "thresholds_db": np.asarray(self.thresholds_db, dtype=np.float64).tolist(),
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.value if isinstance(value, Enum) else value
+        out["thresholds_db"] = np.asarray(self.thresholds_db, dtype=np.float64).tolist()
+        return out
 
 
 @dataclass
@@ -142,35 +149,29 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
     a closed form (none and slm); a PTS run never carries one.
     """
     config.validate()
-    n = config.n_subcarriers
-    oversample = config.oversample
-    trials = config.trials
+    n, oversample, seed = config.n_subcarriers, config.oversample, config.master_seed
     started = time.perf_counter()
 
     partition = None
     if config.method is Method.PTS:
         partition = make_partition(
-            n, config.pts_blocks, config.partition_scheme,
-            trial_stream(config.master_seed, _STREAM_PARTITION))
+            n, config.pts_blocks, config.partition_scheme, trial_stream(seed, _STREAM_PARTITION))
 
-    samples_db = np.empty(trials, dtype=np.float64)
-    side_info = np.zeros(trials, dtype=np.int64)
-    for t in range(trials):
-        frame = random_frame(
-            n, config.modulation, trial_stream(config.master_seed, _STREAM_FRAME, t))
+    samples_db = np.empty(config.trials, dtype=np.float64)
+    side_info = np.zeros(config.trials, dtype=np.int64)
+    for t in range(config.trials):
+        symbols = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
         if config.method is Method.NONE:
-            samples_db[t] = papr(synthesize(frame, oversample)).db
+            index, score = 0, papr_linear(time_samples(symbols, oversample))
         elif config.method is Method.SLM:
-            sequences = generate_phase_sequences(
-                config.slm_branches, n,
-                trial_stream(config.master_seed, _STREAM_METHOD, t))
-            result = slm_reduce(frame, sequences, oversample)
-            samples_db[t] = result.papr.db
-            side_info[t] = result.selected_index
+            rotations = phase_rotations(
+                config.slm_branches, n, trial_stream(seed, _STREAM_METHOD, t))
+            index, scores, _ = slm_search(symbols, rotations, oversample)
+            score = scores[index]
         else:
-            result = pts_reduce(frame, partition, config.pts_phase_order, oversample)
-            samples_db[t] = result.papr.db
-            side_info[t] = result.chosen.combination_index
+            index, score, _ = pts_search(symbols, partition, config.pts_phase_order, oversample)
+        samples_db[t] = PaprSample.from_linear(score).db
+        side_info[t] = index
 
     empirical = empirical_ccdf(samples_db, config.thresholds_db)
     analytic_curve = None

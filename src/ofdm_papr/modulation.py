@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,6 +31,7 @@ class ModulationScheme(Enum):
         return _BPSK_TABLE if self is ModulationScheme.BPSK else _QPSK_TABLE
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class FrequencyFrame:
     """One OFDM symbol in the frequency domain: N complex subcarrier symbols.
 
@@ -37,10 +39,10 @@ class FrequencyFrame:
     length.
     """
 
-    __slots__ = ("symbols", "n_subcarriers")
+    symbols: np.ndarray
 
-    def __init__(self, symbols) -> None:
-        arr = np.array(symbols, dtype=np.complex128)
+    def __post_init__(self) -> None:
+        arr = np.array(self.symbols, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("symbols must be one-dimensional")
         if not is_power_of_two(arr.size):
@@ -49,13 +51,10 @@ class FrequencyFrame:
             raise ValueError("symbols contain non-finite values")
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "n_subcarriers", arr.size)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FrequencyFrame is immutable")
-
-    def __repr__(self) -> str:
-        return f"FrequencyFrame(n_subcarriers={self.n_subcarriers})"
+    @property
+    def n_subcarriers(self) -> int:
+        return self.symbols.size
 
 
 def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
@@ -77,6 +76,12 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
     return scheme.symbol_table[values]
 
 
+def draw_symbols(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> np.ndarray:
+    """Array core of :func:`random_frame`: n i.i.d. uniform constellation symbols."""
+    table = scheme.symbol_table
+    return table[rng.integers(0, table.size, n)]
+
+
 def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> FrequencyFrame:
     """Draw n i.i.d. uniform constellation symbols from the given stream.
 
@@ -84,5 +89,4 @@ def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> 
     """
     if not is_power_of_two(n):
         raise ValueError(f"n={n} is not a power of two")
-    table = scheme.symbol_table
-    return FrequencyFrame(table[rng.integers(0, table.size, n)])
+    return FrequencyFrame(draw_symbols(n, scheme, rng))

@@ -20,6 +20,7 @@ Selection details:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -41,70 +42,60 @@ class PartitionScheme(Enum):
     PSEUDO_RANDOM = "pseudorandom"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class SubBlockPartition:
     """Assignment of each subcarrier to one of V equal-size disjoint blocks."""
 
-    __slots__ = ("block_of", "v_count", "scheme")
+    block_of: np.ndarray
+    v_count: int
+    scheme: PartitionScheme
 
-    def __init__(self, block_of, v_count: int, scheme: PartitionScheme) -> None:
-        arr = np.array(block_of, dtype=np.intp)
+    def __post_init__(self) -> None:
+        arr = np.array(self.block_of, dtype=np.intp)
         if arr.ndim != 1:
             raise ValueError("block_of must be one-dimensional")
-        if v_count < 1:
+        if self.v_count < 1:
             raise ValueError("v_count must be >= 1")
-        if arr.size % v_count != 0:
-            raise ValueError(f"V={v_count} does not divide N={arr.size}")
-        counts = np.bincount(arr, minlength=v_count)
-        if counts.size != v_count or not np.all(counts == arr.size // v_count):
+        if arr.size % self.v_count != 0:
+            raise ValueError(f"V={self.v_count} does not divide N={arr.size}")
+        counts = np.bincount(arr, minlength=self.v_count)
+        if counts.size != self.v_count or not np.all(counts == arr.size // self.v_count):
             raise ValueError("blocks must be disjoint, covering, and equal-sized")
         arr.flags.writeable = False
         object.__setattr__(self, "block_of", arr)
-        object.__setattr__(self, "v_count", int(v_count))
-        object.__setattr__(self, "scheme", scheme)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubBlockPartition is immutable")
 
     @property
     def n(self) -> int:
         return self.block_of.size
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class PhaseVector:
     """Unit-magnitude weighting factor per sub-block plus its search index."""
 
-    __slots__ = ("factors", "combination_index")
+    factors: np.ndarray
+    combination_index: int
 
-    def __init__(self, factors, combination_index: int) -> None:
-        arr = np.array(factors, dtype=np.complex128)
+    def __post_init__(self) -> None:
+        arr = np.array(self.factors, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("factors must be one-dimensional")
         if not np.allclose(np.abs(arr), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("factors must have unit magnitude")
-        if combination_index < 0:
+        if self.combination_index < 0:
             raise ValueError("combination_index must be non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "factors", arr)
-        object.__setattr__(self, "combination_index", int(combination_index))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseVector is immutable")
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class PtsResult:
     """Minimum-PAPR combination, the frame it produces, and the search size."""
 
-    __slots__ = ("frame", "chosen", "papr", "combinations_searched")
-
-    def __init__(self, frame: TimeFrame, chosen: PhaseVector,
-                 papr: PaprSample, combinations_searched: int) -> None:
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "chosen", chosen)
-        object.__setattr__(self, "papr", papr)
-        object.__setattr__(self, "combinations_searched", combinations_searched)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PtsResult is immutable")
+    frame: TimeFrame
+    chosen: PhaseVector
+    papr: PaprSample
+    combinations_searched: int
 
 
 def make_partition(n: int, v_count: int, scheme: PartitionScheme,
@@ -163,6 +154,25 @@ def _pick_min(scores: np.ndarray) -> int:
     return int(np.flatnonzero(scores <= lo * (1.0 + _TIE_RTOL))[0])
 
 
+def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int,
+               oversample: int, fix_first: bool = False) -> tuple[int, float, np.ndarray]:
+    """Array core of :func:`pts_reduce`: (combination index, linear PAPR, samples)."""
+    factors = _factor_matrix(w, partition.v_count, fix_first)
+    blocks = np.where(partition.block_of == np.arange(partition.v_count)[:, None], symbols, 0.0)
+    block_times = time_samples(blocks, oversample)       # (V, L*N), one transform each
+    candidates = factors @ block_times                   # (C, L*N) weighted sums
+    scores = papr_linear(candidates)
+    best = _pick_min(scores)
+
+    base_samples = time_samples(symbols, oversample)
+    base_score = float(papr_linear(base_samples))
+    if scores[best] > base_score:
+        # Rounding in the block sums can lift the all-ones candidate a few
+        # ulps above the directly synthesized frame; floor at the original.
+        return 0, base_score, base_samples
+    return best, scores[best], candidates[best].copy()   # a view would pin every candidate
+
+
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
                oversample: int, fix_first: bool = False) -> PtsResult:
     """Exhaustively search the W^V phase combinations for the minimum PAPR.
@@ -176,22 +186,7 @@ def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
             f"partition over {partition.n} subcarriers does not match frame "
             f"of {freq.n_subcarriers}")
     factors = _factor_matrix(w, partition.v_count, fix_first)
-    blocks = np.where(partition.block_of[None, :] == np.arange(partition.v_count)[:, None],
-                      freq.symbols[None, :], 0.0)
-    block_times = time_samples(blocks, oversample)       # (V, L*N), one transform each
-    candidates = factors @ block_times                   # (C, L*N) weighted sums
-    scores = papr_linear(candidates)
-    best = _pick_min(scores)
-
-    base_samples = time_samples(freq.symbols, oversample)
-    base_score = float(papr_linear(base_samples))
-    if scores[best] > base_score:
-        # Rounding in the block sums can lift the all-ones candidate a few
-        # ulps above the directly synthesized frame; floor at the original.
-        best, samples, score = 0, base_samples, base_score
-    else:
-        samples, score = candidates[best], scores[best]
-
+    best, score, samples = pts_search(freq.symbols, partition, w, oversample, fix_first)
     return PtsResult(
         frame=TimeFrame(samples, oversample),
         chosen=PhaseVector(factors[best], best),

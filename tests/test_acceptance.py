@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
 per criterion.  The master seed is fixed so the whole suite is deterministic.
+The criteria that share the 1e5- and 1e4-trial session fixtures are marked
+``slow``; ``pytest -m "not slow"`` skips them for a quick inner loop.
 
 Criterion 2 is an expected failure (xfail, strict).  The closed-form curve
 1 - (1 - e^{-z})^N models the frame peak as the maximum of N independent
@@ -124,6 +126,7 @@ def test_criterion_1_transform_oracle():
     assert ok
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="closed-form curve is an independent-samples approximation; the "
@@ -153,6 +156,7 @@ def test_criterion_2_closed_form_agreement(baseline_nyquist):
         f"binomial standard errors at {worst:.2f} dB")
 
 
+@pytest.mark.slow
 def test_criterion_3_candidate_product_law(baseline_nyquist, slm_nyquist):
     """SLM CCDF equals (empirical baseline CCDF)^M within 3 standard errors.
 
@@ -238,6 +242,7 @@ def test_criterion_5_exhaustive_optimality():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_candidate_count_ordering(slm_sweep):
     """The 1e-2 CCDF threshold strictly decreases as M grows, N in {64,128}."""
     ok = True
@@ -251,6 +256,7 @@ def test_criterion_6_candidate_count_ordering(slm_sweep):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_pts_beats_slm(slm_sweep, pts_runs):
     """PTS (V=4, W=4) beats SLM (M=4) at the 1e-2 threshold, N in {64,128}."""
     ok = True

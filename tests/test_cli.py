@@ -1,6 +1,9 @@
 """Command-line surface: flags, outputs, exit statuses."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,8 @@ def test_divisibility_validation(tmp_path):
     ["--method", "slm", "--compare", "pts"],
     ["--compare", "slm", "--compare", "slm", "--out", "x.csv"],
     ["--compare", "slm"],  # --compare requires --out
+    ["--thresholds", "0:inf:1"],
+    ["--thresholds", "0:1:inf"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli_main(argv) == 1
@@ -95,3 +100,21 @@ def test_io_error_exits_2(tmp_path):
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
     assert "--thresholds" in capsys.readouterr().out
+
+
+def readme_commands():
+    """Every ``ofdm-papr`` command in the sh blocks of the README's CLI section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return [shlex.split(line) for line in lines.splitlines() if line.startswith("ofdm-papr ")]
+
+
+def test_readme_commands_run(tmp_path):
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        args = argv[1:]
+        args[args.index("--trials") + 1] = "20"
+        args[args.index("--out") + 1] = str(tmp_path / args[args.index("--out") + 1])
+        assert cli_main(args) == 0, argv

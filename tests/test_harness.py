@@ -103,6 +103,14 @@ def test_empirical_curve_derives_from_samples():
     dict(pts_blocks=0),
     dict(pts_phase_order=3),
     dict(thresholds_db=np.array([2.0, 1.0])),
+    dict(method="slm"),
+    dict(modulation="qpsk"),
+    dict(partition_scheme="adjacent"),
+    dict(trials=2.5),
+    dict(trials=True),
+    dict(n_subcarriers=16.0),
+    dict(master_seed=False),
+    dict(thresholds_db=np.array([0.0, np.inf])),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):
