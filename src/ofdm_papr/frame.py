@@ -103,6 +103,18 @@ def papr_linear(samples: np.ndarray) -> np.ndarray:
     return p.max(axis=-1) / mean
 
 
+_TIE_RTOL = 1e-12
+
+
+def pick_min(scores: np.ndarray) -> int:
+    """Lowest index within a relative 1e-12 window of the minimum score.
+
+    Candidates that tie in exact arithmetic then resolve the same way
+    despite rounding noise.  SLM and PTS both select with it.
+    """
+    return int(np.flatnonzero(scores <= scores.min() * (1.0 + _TIE_RTOL))[0])
+
+
 def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:
     """Synthesize the oversampled time-domain frame of one frequency frame."""
     return TimeFrame(time_samples(freq.symbols, oversample), oversample)

@@ -8,10 +8,10 @@ naive per-candidate transform exists only as an independent test oracle.
 
 Selection details:
 
-* Ties break toward the lowest combination index.  Because the candidate
-  set is closed under multiplication by a common alphabet factor, whole
-  orbits of candidates share one PAPR; a relative tie window of 1e-12
-  makes the winning index independent of sub-ulp evaluation noise.
+* Ties break toward the lowest combination index within the shared
+  1e-12 relative window of :func:`~ofdm_papr.frame.pick_min`.  The
+  candidate set is closed under multiplication by a common alphabet
+  factor, so whole orbits of candidates share one PAPR.
 * The all-ones combination reproduces the original frame only up to
   floating-point rounding of the block sums, so the original frame is
   scored directly as a floor: the result can never be worse than the
@@ -26,14 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame import PaprSample, TimeFrame, papr_linear, time_samples
+from .frame import PaprSample, TimeFrame, papr_linear, pick_min, time_samples
 from .modulation import FrequencyFrame
 
 _ALPHABETS = {
     2: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
     4: np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j]),
 }
-_TIE_RTOL = 1e-12
 
 
 class PartitionScheme(Enum):
@@ -148,12 +147,6 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     return [PhaseVector(row, i) for i, row in enumerate(factors)]
 
 
-def _pick_min(scores: np.ndarray) -> int:
-    """Lowest index among scores within the relative tie window of the minimum."""
-    lo = scores.min()
-    return int(np.flatnonzero(scores <= lo * (1.0 + _TIE_RTOL))[0])
-
-
 def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int,
                oversample: int, fix_first: bool = False) -> tuple[int, float, np.ndarray]:
     """Array core of :func:`pts_reduce`: (combination index, linear PAPR, samples)."""
@@ -162,7 +155,7 @@ def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int,
     block_times = time_samples(blocks, oversample)       # (V, L*N), one transform each
     candidates = factors @ block_times                   # (C, L*N) weighted sums
     scores = papr_linear(candidates)
-    best = _pick_min(scores)
+    best = pick_min(scores)
 
     base_samples = time_samples(symbols, oversample)
     base_score = float(papr_linear(base_samples))

@@ -2,7 +2,8 @@
 
 Candidate 0 always carries the all-ones identity sequence, so the selected
 frame can never be worse than the unmodified one.  The remaining sequences
-draw i.i.d. rotations from the 4-ary alphabet {+1, -1, +j, -j}.
+draw i.i.d. rotations from the 4-ary alphabet {+1, -1, +j, -j}.  Ties break
+toward the lowest index within a 1e-12 relative window, the same rule as PTS.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import PaprSample, TimeFrame, papr_linear, time_samples
+from .frame import PaprSample, TimeFrame, papr_linear, pick_min, time_samples
 from .modulation import FrequencyFrame
 
 PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])
@@ -58,10 +59,10 @@ def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarra
 
 def slm_search(symbols: np.ndarray, rotations: np.ndarray,
                oversample: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Array core of :func:`slm_reduce`: (lowest argmin, linear PAPRs, winner's samples)."""
+    """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, winner's samples)."""
     candidates = time_samples(symbols * rotations, oversample)
     scores = papr_linear(candidates)
-    best = int(np.argmin(scores))
+    best = pick_min(scores)
     return best, scores, candidates[best].copy()   # a view would pin every candidate
 
 
@@ -79,8 +80,8 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
                oversample: int) -> SlmResult:
     """Synthesize every rotated candidate and return the minimum-PAPR one.
 
-    Ties break toward the lowest candidate index.  Pure function of its
-    inputs; the candidates are scored as one batch.
+    Ties break toward the lowest index within a 1e-12 relative window, as in
+    PTS.  Pure function of its inputs; the candidates are scored as one batch.
     """
     if not sequences:
         raise ValueError("at least one phase sequence is required")

@@ -1,4 +1,7 @@
-"""Transform kernel: frozen examples, direct-summation oracle, unitarity."""
+"""Transform kernel: frozen examples, direct-summation oracle, unitarity.
+
+Batch invariance is a hypothesis property in ``test_properties.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from ofdm_papr import forward_dft, inverse_dft, is_power_of_two
 
 
 def direct_inverse(x):
-    """O(P^2) summation oracle, independent of the butterfly path."""
+    """O(P^2) summation oracle, independent of the FFT factorisation."""
     x = np.asarray(x, dtype=complex)
     p = x.size
     n = np.arange(p)
@@ -89,14 +92,6 @@ def test_linearity():
     lhs = inverse_dft(a * x + b * y)
     rhs = a * inverse_dft(x) + b * inverse_dft(y)
     assert np.abs(lhs - rhs).max() < 1e-10
-
-
-def test_batch_matches_per_row():
-    rng = np.random.default_rng(9)
-    frames = rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))
-    batch = inverse_dft(frames)
-    for i in range(5):
-        assert np.array_equal(batch[i], inverse_dft(frames[i]))
 
 
 def test_length_one_is_identity():

@@ -5,9 +5,14 @@ the same cores in validated objects.  These properties keep the two from
 drifting apart, and hold the run path to its guarantees:
 
 * each trial's sample and side information equal, bit for bit, the values
-  rebuilt from the trial's streams through the public functions;
+  rebuilt from the trial's streams through the public functions, in any
+  trial order;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
-* a K-trial run is the first K trials of a longer run.
+* a K-trial run is the first K trials of a longer run;
+* every row of a batched transform equals, bit for bit, that row
+  transformed alone, whatever the batch shape and memory layout (the
+  never-worse guarantees compare a batched candidate with a lone frame);
+* candidates that tie in exact arithmetic resolve to the lowest index.
 
 V is limited to W^V <= 256 so the exhaustive PTS search stays small.
 """
@@ -20,10 +25,14 @@ from hypothesis import strategies as st
 
 from ofdm_papr import (
     ExperimentConfig,
+    FrequencyFrame,
     Method,
     ModulationScheme,
     PartitionScheme,
+    PhaseSequence,
+    enumerate_phase_vectors,
     generate_phase_sequences,
+    inverse_dft,
     make_partition,
     papr,
     pts_reduce,
@@ -32,6 +41,7 @@ from ofdm_papr import (
     slm_reduce,
     synthesize,
     threshold_grid,
+    time_samples,
     trial_stream,
 )
 
@@ -74,13 +84,23 @@ def rebuilt_trial(config, t):
     return result.papr.db, result.chosen.combination_index
 
 
+@st.composite
+def configs_and_orders(draw):
+    config = draw(configs())
+    return config, draw(st.permutations(range(config.trials)))
+
+
 @SETTINGS
-@given(configs())
-def test_each_trial_matches_the_public_functions(config):
+@given(configs_and_orders())
+def test_each_trial_matches_the_public_functions(config_and_order):
+    config, order = config_and_order
     result = run_experiment(config)
-    samples, side_info = zip(*(rebuilt_trial(config, t) for t in range(config.trials)))
-    assert np.array(samples).tobytes() == result.samples_db.tobytes()
-    assert np.array(side_info, dtype=np.int64).tobytes() == result.side_info.tobytes()
+    samples = np.empty(config.trials)
+    side_info = np.empty(config.trials, dtype=np.int64)
+    for t in order:
+        samples[t], side_info[t] = rebuilt_trial(config, t)
+    assert samples.tobytes() == result.samples_db.tobytes()
+    assert side_info.tobytes() == result.side_info.tobytes()
 
 
 @SETTINGS
@@ -99,3 +119,78 @@ def test_a_shorter_run_is_a_prefix(config, k):
     short = run_experiment(replace(config, trials=k))
     assert short.samples_db.tobytes() == full.samples_db[:k].tobytes()
     assert short.side_info.tobytes() == full.side_info[:k].tobytes()
+
+
+@st.composite
+def batches(draw):
+    """A (..., P) complex batch: C order, F order, a strided view or a reversed slice."""
+    p = 2 ** draw(st.integers(0, 12))
+    shape = (3,) + tuple(draw(st.lists(st.integers(1, 3), max_size=3))) + (2 * p,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    layout = draw(st.sampled_from(["C", "F", "strided", "sliced"]))
+    if layout == "C":
+        return np.ascontiguousarray(base[0, ..., :p])
+    if layout == "F":
+        return np.asfortranarray(base[0, ..., :p])
+    if layout == "strided":
+        return base[0, ..., ::2]
+    return base[:0:-1, ..., p:]
+
+
+@SETTINGS
+@given(batches(), st.sampled_from([1, 2, 4, 8]))
+def test_a_batched_transform_equals_each_row_alone(batch, oversample):
+    transformed = inverse_dft(batch)
+    for idx in np.ndindex(batch.shape[:-1]):
+        assert transformed[idx].tobytes() == inverse_dft(batch[idx].copy()).tobytes()
+    symbols = batch[..., :max(1, batch.shape[-1] // oversample)]
+    synthesized = time_samples(symbols, oversample)
+    for idx in np.ndindex(symbols.shape[:-1]):
+        alone = time_samples(symbols[idx].copy(), oversample)
+        assert synthesized[idx].tobytes() == alone.tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from([8, 16, 32, 64]), st.sampled_from(ModulationScheme),
+       st.sampled_from([1, 2, 8]), st.integers(0, 2 ** 32 - 1))
+def test_slm_cyclic_shift_tie_selects_index_0(n, modulation, oversample, seed):
+    # Rotating subcarrier k by j^(m*k) shifts the time frame cyclically by
+    # m*N/4, so all four candidates have the same PAPR in exact arithmetic.
+    rng = np.random.default_rng(seed)
+    sequences = [PhaseSequence(1j ** (m * np.arange(n)), m) for m in range(4)]
+    for _ in range(10):
+        frame = random_frame(n, modulation, rng)
+        assert slm_reduce(frame, sequences, oversample).selected_index == 0
+
+
+@SETTINGS
+@given(st.sampled_from([(w, v) for w in (2, 4) for v in (1, 2, 4)]), st.sampled_from([8, 16, 32]),
+       st.sampled_from(ModulationScheme), st.sampled_from(PartitionScheme),
+       st.sampled_from([1, 4]), st.integers(0, 2 ** 32 - 1))
+def test_pts_pick_is_the_lowest_index_of_its_tie_set(w_v, n, modulation, scheme, oversample,
+                                                      seed):
+    # A common alphabet factor maps a combination to one with the same PAPR.
+    # With the interleaved partition, weighting block v by s^v (s a V-th root
+    # of unity in the alphabet) shifts the frame cyclically: the same PAPR
+    # again.  Ties like these are exact only in exact arithmetic.
+    w, v = w_v
+    rng = np.random.default_rng(seed)
+    frame = random_frame(n, modulation, rng)
+    partition = make_partition(n, v, scheme, rng)
+    result = pts_reduce(frame, partition, w, oversample)
+    alphabet = [vec.factors[-1] for vec in enumerate_phase_vectors(w, v)[:w]]
+    roots = {1: [1], 2: [1, -1], 4: [1, 1j, -1, -1j]}[v]
+    shifts = [np.array([roots[b * m % v] for b in range(v)])
+              for m in range(v if scheme is PartitionScheme.INTERLEAVED and v <= w else 1)]
+    tie_set = []
+    for factor in alphabet:
+        for shift in shifts:
+            factors = factor * shift * result.chosen.factors
+            # the combination index reads the factors' alphabet digits in base W
+            tie_set.append(int("".join(str(alphabet.index(f)) for f in factors), w))
+            weighted = FrequencyFrame(frame.symbols * factors[partition.block_of])
+            value = papr(synthesize(weighted, oversample)).linear
+            assert np.isclose(value, result.papr.linear, rtol=1e-12, atol=0.0)
+    assert result.chosen.combination_index == min(tie_set)
+    assert result.chosen.factors[0] == 1
