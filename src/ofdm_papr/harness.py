@@ -98,11 +98,13 @@ class ExperimentConfig:
             raise ValueError(f"n_subcarriers={self.n_subcarriers} is not a power of two")
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
-        if not is_power_of_two(self.oversample * self.n_subcarriers):
-            raise ValueError(
-                f"L*N = {self.oversample * self.n_subcarriers} is not a power of two")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        samples = self.oversample * self.n_subcarriers
+        if not is_power_of_two(samples):
+            raise ValueError(f"L*N = {samples} is not a power of two")
+        if samples > 2 ** 20:
+            raise ValueError(f"L*N = {samples} exceeds 2**20")
+        if not 1 <= self.trials <= 10 ** 8:
+            raise ValueError("trials must be in [1, 10**8]")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.slm_branches < 1:
@@ -114,6 +116,12 @@ class ExperimentConfig:
                 f"pts_blocks={self.pts_blocks} does not divide N={self.n_subcarriers}")
         if self.pts_phase_order not in (2, 4):
             raise ValueError(f"pts_phase_order={self.pts_phase_order} not in (2, 4)")
+        # One trial's candidate block: at most 2**24 complex samples (256 MiB).
+        m, w, v = self.slm_branches, self.pts_phase_order, self.pts_blocks
+        if self.method is Method.SLM and m * samples > 2 ** 24:
+            raise ValueError(f"M*L*N = {m}*{samples} exceeds 2**24")
+        if self.method is Method.PTS and w ** (v - 1) * samples > 2 ** 24:
+            raise ValueError(f"W^(V-1)*L*N = {w}^{v - 1}*{samples} exceeds 2**24")
         grid = np.asarray(self.thresholds_db, dtype=np.float64)
         if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
                 or not np.all(np.diff(grid) > 0)):

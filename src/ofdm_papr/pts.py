@@ -1,17 +1,20 @@
-"""Partial transmit sequence: per-sub-block phase weighting with exhaustive search.
+"""Partial transmit sequence: per-sub-block phase weighting with optimal search.
 
 The subcarriers are split into V equal disjoint blocks.  Each block's time
-signal is synthesized once; every W^V phase-factor combination is then
-scored as a weighted sum of the block signals, which is equivalent to
-transforming the weighted spectrum because the transform is linear.  The
-naive per-candidate transform exists only as an independent test oracle.
+signal is synthesized once; candidates are scored as weighted sums of the
+block signals, which equals transforming the weighted spectrum because the
+transform is linear.  The naive per-candidate transform exists only as an
+independent test oracle.
 
 Selection details:
 
-* Ties break toward the lowest combination index within the shared
-  1e-12 relative window of :func:`~ofdm_papr.frame.pick_min`.  The
-  candidate set is closed under multiplication by a common alphabet
-  factor, so whole orbits of candidates share one PAPR.
+* A common alphabet factor leaves the PAPR unchanged, so the W^V
+  combinations fall into W^(V-1) orbits and one representative of each is
+  scored: block 1 at +1, the first W^(V-1) rows of the lexicographic
+  enumeration.  Each is its orbit's lowest-index member, so with ties
+  broken toward the lowest index within the 1e-12 relative window of
+  :func:`~ofdm_papr.frame.pick_min` the pick, index included, equals the
+  exhaustive W^V search's.
 * The all-ones combination reproduces the original frame only up to
   floating-point rounding of the block sums, so the original frame is
   scored directly as a floor: the result can never be worse than the
@@ -29,10 +32,7 @@ import numpy as np
 from .frame import PaprSample, TimeFrame, papr_linear, pick_min, time_samples
 from .modulation import FrequencyFrame
 
-_ALPHABETS = {
-    2: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
-    4: np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j]),
-}
+_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])   # W=2 uses the first two
 
 
 class PartitionScheme(Enum):
@@ -105,9 +105,7 @@ def make_partition(n: int, v_count: int, scheme: PartitionScheme,
     subcarrier k belongs to block k mod V.  PseudoRandom: a seeded uniform
     shuffle of 0..n-1 cut into V consecutive chunks (requires rng).
     """
-    if v_count < 1:
-        raise ValueError("v_count must be >= 1")
-    if n % v_count != 0:
+    if v_count < 1 or n % v_count != 0:
         raise ValueError(f"V={v_count} does not divide N={n}")
     size = n // v_count
     if scheme is PartitionScheme.ADJACENT:
@@ -123,19 +121,13 @@ def make_partition(n: int, v_count: int, scheme: PartitionScheme,
 
 
 @lru_cache(maxsize=None)
-def _factor_matrix(w: int, v_count: int, fix_first: bool) -> np.ndarray:
-    """(C, V) candidate factors in lexicographic digit order, all-ones first."""
-    if w not in _ALPHABETS:
+def _factor_matrix(w: int, v_count: int) -> np.ndarray:
+    """(W^V, V) candidate factors in lexicographic digit order, all-ones first."""
+    if w not in (2, 4):
         raise ValueError(f"unsupported phase order W={w}; choose 2 or 4")
     if v_count < 1:
         raise ValueError("v_count must be >= 1")
-    free = v_count - 1 if fix_first else v_count
-    grids = np.meshgrid(*([np.arange(w)] * free), indexing="ij") if free else []
-    digits = (np.stack(grids, axis=-1).reshape(-1, free) if free
-              else np.zeros((1, 0), dtype=np.intp))
-    if fix_first:
-        digits = np.hstack([np.zeros((digits.shape[0], 1), dtype=np.intp), digits])
-    factors = _ALPHABETS[w][digits]
+    factors = _ALPHABET[np.indices((w,) * v_count).reshape(v_count, -1).T]
     factors.flags.writeable = False
     return factors
 
@@ -143,17 +135,16 @@ def _factor_matrix(w: int, v_count: int, fix_first: bool) -> np.ndarray:
 def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     """All W^V weighting vectors, lexicographic over per-position alphabet
     indices; the alphabet is {+1,-1} for W=2 and {+1,-1,+j,-j} for W=4."""
-    factors = _factor_matrix(w, v_count, False)
-    return [PhaseVector(row, i) for i, row in enumerate(factors)]
+    return [PhaseVector(row, i) for i, row in enumerate(_factor_matrix(w, v_count))]
 
 
 def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int,
-               oversample: int, fix_first: bool = False) -> tuple[int, float, np.ndarray]:
+               oversample: int) -> tuple[int, float, np.ndarray]:
     """Array core of :func:`pts_reduce`: (combination index, linear PAPR, samples)."""
-    factors = _factor_matrix(w, partition.v_count, fix_first)
+    factors = _factor_matrix(w, partition.v_count)[:w ** (partition.v_count - 1)]
     blocks = np.where(partition.block_of == np.arange(partition.v_count)[:, None], symbols, 0.0)
     block_times = time_samples(blocks, oversample)       # (V, L*N), one transform each
-    candidates = factors @ block_times                   # (C, L*N) weighted sums
+    candidates = factors @ block_times                   # (W^(V-1), L*N) weighted sums
     scores = papr_linear(candidates)
     best = pick_min(scores)
 
@@ -167,22 +158,21 @@ def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int,
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
-               oversample: int, fix_first: bool = False) -> PtsResult:
-    """Exhaustively search the W^V phase combinations for the minimum PAPR.
+               oversample: int) -> PtsResult:
+    """Search the phase combinations for the minimum PAPR.
 
-    With fix_first=True the first block's factor is pinned to +1 and only
-    W^(V-1) combinations are scored; the reported combination indices still
-    refer to the full enumeration (they coincide for a pinned first digit).
+    Scores the W^(V-1) orbit representatives (block 1 weighted by +1) and
+    returns what the exhaustive W^V search returns: the same combination
+    index, in the full enumeration, and the same PAPR.
     """
     if partition.n != freq.n_subcarriers:
         raise ValueError(
             f"partition over {partition.n} subcarriers does not match frame "
             f"of {freq.n_subcarriers}")
-    factors = _factor_matrix(w, partition.v_count, fix_first)
-    best, score, samples = pts_search(freq.symbols, partition, w, oversample, fix_first)
+    best, score, samples = pts_search(freq.symbols, partition, w, oversample)
     return PtsResult(
         frame=TimeFrame(samples, oversample),
-        chosen=PhaseVector(factors[best], best),
+        chosen=PhaseVector(_factor_matrix(w, partition.v_count)[best], best),
         papr=PaprSample.from_linear(score),
-        combinations_searched=factors.shape[0],
+        combinations_searched=w ** (partition.v_count - 1),
     )

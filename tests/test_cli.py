@@ -74,6 +74,11 @@ def test_divisibility_validation(tmp_path):
     ["--compare", "slm"],  # --compare requires --out
     ["--thresholds", "0:inf:1"],
     ["--thresholds", "0:1:inf"],
+    ["--n", "2097152", "--oversample", "1"],
+    ["--trials", "100000001"],
+    ["--method", "slm", "--slm-m", "1000000"],
+    ["--method", "pts", "--n", "64", "--pts-v", "16"],
+    ["--compare", "none", "--compare", "pts", "--pts-v", "64", "--out", "x.csv"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert cli_main(argv) == 1

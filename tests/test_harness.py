@@ -111,10 +111,29 @@ def test_empirical_curve_derives_from_samples():
     dict(n_subcarriers=16.0),
     dict(master_seed=False),
     dict(thresholds_db=np.array([0.0, np.inf])),
+    dict(n_subcarriers=2 ** 21),
+    dict(n_subcarriers=2 ** 18, oversample=8),
+    dict(trials=10 ** 8 + 1),
+    dict(method=Method.SLM, slm_branches=2 ** 20 + 1),
+    dict(method=Method.PTS, pts_blocks=16),
+    dict(method=Method.PTS, n_subcarriers=256, oversample=8, pts_blocks=8),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):
         run_experiment(quick_config(**bad))
+
+
+@pytest.mark.parametrize("edge", [
+    dict(n_subcarriers=2 ** 20),
+    dict(n_subcarriers=2 ** 17, oversample=8),
+    dict(trials=10 ** 8),
+    dict(method=Method.SLM, slm_branches=2 ** 20),
+    dict(method=Method.PTS, pts_blocks=16, pts_phase_order=2),
+    dict(method=Method.PTS, n_subcarriers=128, oversample=8, pts_blocks=8),
+    dict(method=Method.NONE, pts_blocks=16),
+])
+def test_work_bounds_admit_their_edge(edge):
+    quick_config(**edge).validate()     # validated only: these runs are large
 
 
 def test_trial_streams_are_purpose_separated():

@@ -12,12 +12,16 @@ drifting apart, and hold the run path to its guarantees:
 * every row of a batched transform equals, bit for bit, that row
   transformed alone, whatever the batch shape and memory layout (the
   never-worse guarantees compare a batched candidate with a lone frame);
-* candidates that tie in exact arithmetic resolve to the lowest index.
+* candidates that tie in exact arithmetic resolve to the lowest index;
+* the PTS search over the W^(V-1) orbit representatives picks, bit for
+  bit, what the exhaustive W^V search picks.
 
-V is limited to W^V <= 256 so the exhaustive PTS search stays small.
+The random run configs limit V to W^V <= 256 to keep each example fast;
+the orbit property alone goes up to W^V = 4^8.
 """
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 from hypothesis import given, settings
@@ -44,6 +48,8 @@ from ofdm_papr import (
     time_samples,
     trial_stream,
 )
+from ofdm_papr.frame import papr_linear, pick_min
+from ofdm_papr.pts import pts_search
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -194,3 +200,31 @@ def test_pts_pick_is_the_lowest_index_of_its_tie_set(w_v, n, modulation, scheme,
             assert np.isclose(value, result.papr.linear, rtol=1e-12, atol=0.0)
     assert result.chosen.combination_index == min(tie_set)
     assert result.chosen.factors[0] == 1
+
+
+@cache
+def all_factors(w, v):
+    """(W^V, V) factors of every combination, row i the combination index i."""
+    return np.array([vec.factors for vec in enumerate_phase_vectors(w, v)])
+
+
+@SETTINGS
+@given(st.sampled_from([(w, v) for w in (2, 4) for v in (1, 2, 4, 8)]), st.sampled_from([8, 16]),
+       st.sampled_from(ModulationScheme), st.sampled_from(PartitionScheme),
+       st.sampled_from([1, 4]), st.integers(0, 2 ** 32 - 1))
+def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, scheme, oversample,
+                                                       seed):
+    w, v = w_v
+    rng = np.random.default_rng(seed)
+    symbols = random_frame(n, modulation, rng).symbols
+    partition = make_partition(n, v, scheme, rng)
+    blocks = np.where(partition.block_of == np.arange(v)[:, None], symbols, 0.0)
+    scores = papr_linear(all_factors(w, v) @ time_samples(blocks, oversample))
+    index = pick_min(scores)
+    score = scores[index]
+    base_score = papr_linear(time_samples(symbols, oversample))
+    if score > base_score:
+        index, score = 0, base_score
+    found_index, found_score, _ = pts_search(symbols, partition, w, oversample)
+    assert found_index == index
+    assert np.float64(found_score).tobytes() == np.float64(score).tobytes()
