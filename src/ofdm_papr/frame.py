@@ -11,12 +11,18 @@ tree over the last axis.  Elementwise tree steps are bitwise deterministic
 for any leading batch shape, so a frame scored inside a candidate batch
 yields exactly the same value as the same frame scored alone.  The
 never-worse guarantees of the reduction algorithms rely on this.
+
+:func:`time_samples` and :func:`papr_linear` write every L*N-sized array
+they produce into a :class:`Workspace`.  A run sizes one workspace from its
+config and reuses it on every trial, so no trial allocates (and
+page-faults in) a fresh candidate block; a call without a workspace builds
+a one-shot workspace for itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,22 +69,64 @@ class TimeFrame:
         return self.samples.size // self.oversample
 
 
-def pad_spectrum(symbols: np.ndarray, oversample: int) -> np.ndarray:
-    """Zero-pad (..., N) spectra at the midpoint to length L*N."""
+@dataclass(frozen=True, eq=False, slots=True)
+class Workspace:
+    """Buffers that synthesize and score a block of (..., L*N) frames.
+
+    ``padded`` and ``samples`` are :func:`time_samples`' zero-padded
+    spectra and time samples; only the two occupied ends of ``padded`` are
+    ever written, so its middle band stays zero.  ``power`` and ``scratch``
+    are :func:`papr_linear`'s |x|^2 and its second summand; ``halves`` are
+    the levels of the pairwise power sum, packed into ``scratch`` once the
+    summand is spent.
+    """
+
+    padded: np.ndarray
+    samples: np.ndarray
+    power: np.ndarray
+    scratch: np.ndarray
+    halves: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # Levels (..., P/2), (..., P/4), ..., (..., 1) one after another,
+        # each contiguous: numpy then sums a level in one strided pass, not
+        # in one pass per row.
+        lead, p, flat = self.scratch.shape[:-1], self.scratch.shape[-1], self.scratch.reshape(-1)
+        rows, halves, start = flat.size // p, [], 0
+        while p > 1:
+            p //= 2
+            halves.append(flat[start:start + rows * p].reshape(lead + (p,)))
+            start += rows * p
+        object.__setattr__(self, "halves", tuple(halves))
+
+    @classmethod
+    def sized(cls, shape: tuple[int, ...]) -> "Workspace":
+        """Buffers for frames of ``shape`` = (..., L*N) samples."""
+        return cls(np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128),
+                   np.empty(shape), np.empty(shape))
+
+
+def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray) -> np.ndarray:
+    """Zero-pad (..., N) spectra at the midpoint to length L*N, into ``out``.
+
+    ``out`` is a (..., L*N) buffer whose middle band is zero; only its two
+    ends are written.  At L=1 the spectra are returned as they are.
+    """
     n = symbols.shape[-1]
     if oversample == 1:
         return symbols
     half = n // 2
-    out = np.zeros(symbols.shape[:-1] + (oversample * n,), dtype=np.complex128)
     out[..., :half] = symbols[..., :half]
     out[..., oversample * n - (n - half):] = symbols[..., half:]
     return out
 
 
-def time_samples(symbols, oversample: int = 1) -> np.ndarray:
+def time_samples(symbols, oversample: int = 1, workspace: Workspace | None = None) -> np.ndarray:
     """Synthesize (..., L*N) time samples from (..., N) spectra.
 
     Array-level core of :func:`synthesize`; batches transform in one call.
+    Writes into ``workspace`` (a one-shot one when none is given) and
+    returns its ``samples``.
     """
     arr = np.asarray(symbols, dtype=np.complex128)
     n = arr.shape[-1]
@@ -86,21 +134,30 @@ def time_samples(symbols, oversample: int = 1) -> np.ndarray:
         raise ValueError("oversample must be >= 1")
     if not is_power_of_two(oversample * n):
         raise ValueError(f"L*N = {oversample * n} is not a power of two")
-    return inverse_dft(pad_spectrum(arr, oversample))
+    if workspace is None:
+        workspace = Workspace.sized(arr.shape[:-1] + (oversample * n,))
+    return inverse_dft(pad_spectrum(arr, oversample, workspace.padded), out=workspace.samples)
 
 
-def _tree_sum(values: np.ndarray) -> np.ndarray:
-    """Even/odd pairwise sum over the last (power-of-two) axis."""
-    while values.shape[-1] > 1:
-        values = values[..., 0::2] + values[..., 1::2]
+def _tree_sum(values: np.ndarray, halves: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Even/odd pairwise sum over the last (power-of-two) axis, level by level into halves."""
+    for level in halves:
+        values = np.add(values[..., 0::2], values[..., 1::2], out=level)
     return values[..., 0]
 
 
-def papr_linear(samples: np.ndarray) -> np.ndarray:
-    """Peak power over mean power along the last axis; batch friendly."""
-    p = samples.real ** 2 + samples.imag ** 2
-    mean = _tree_sum(p) / p.shape[-1]
-    return p.max(axis=-1) / mean
+def papr_linear(samples: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+    """Peak power over mean power along the last axis; batch friendly.
+
+    The |x|^2 and pairwise-sum buffers are ``workspace``'s (a one-shot one
+    when none is given).
+    """
+    if workspace is None:
+        workspace = Workspace.sized(samples.shape)
+    p = np.square(samples.real, out=workspace.power)
+    np.add(p, np.square(samples.imag, out=workspace.scratch), out=p)
+    peak = p.max(axis=-1)
+    return peak / (_tree_sum(p, workspace.halves) / p.shape[-1])
 
 
 _TIE_RTOL = 1e-12
@@ -122,4 +179,6 @@ def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:
 
 def papr(frame: TimeFrame) -> PaprSample:
     """PAPR of a time frame: max_n |x_n|^2 / mean_n |x_n|^2."""
+    if not is_power_of_two(frame.samples.size):
+        raise ValueError(f"PAPR needs a power-of-two sample count, got {frame.samples.size}")
     return PaprSample.from_linear(papr_linear(frame.samples))

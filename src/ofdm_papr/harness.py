@@ -17,6 +17,7 @@ search.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -25,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .dft import is_power_of_two
-from .frame import PaprSample, papr_linear, time_samples
+from .frame import Workspace, papr_linear, time_samples
 from .modulation import ModulationScheme, draw_symbols
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, make_partition, pts_search
+from .pts import PartitionScheme, PtsWorkspace, make_partition, pts_search
 from .slm import phase_rotations, slm_search
 from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
 
@@ -160,25 +161,33 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
     n, oversample, seed = config.n_subcarriers, config.oversample, config.master_seed
     started = time.perf_counter()
 
+    # One workspace for the whole run: the trials reuse its buffers.
     partition = None
     if config.method is Method.PTS:
         partition = make_partition(
             n, config.pts_blocks, config.partition_scheme, trial_stream(seed, _STREAM_PARTITION))
+        workspace = PtsWorkspace.sized(partition, config.pts_phase_order, oversample)
+    elif config.method is Method.SLM:
+        workspace = Workspace.sized((config.slm_branches, oversample * n))
+    else:
+        workspace = Workspace.sized((oversample * n,))
 
     samples_db = np.empty(config.trials, dtype=np.float64)
     side_info = np.zeros(config.trials, dtype=np.int64)
     for t in range(config.trials):
         symbols = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
         if config.method is Method.NONE:
-            index, score = 0, papr_linear(time_samples(symbols, oversample))
+            index, score = 0, papr_linear(time_samples(symbols, oversample, workspace), workspace)
         elif config.method is Method.SLM:
             rotations = phase_rotations(
                 config.slm_branches, n, trial_stream(seed, _STREAM_METHOD, t))
-            index, scores, _ = slm_search(symbols, rotations, oversample)
+            index, scores, _ = slm_search(symbols, rotations, oversample, workspace)
             score = scores[index]
         else:
-            index, score, _ = pts_search(symbols, partition, config.pts_phase_order, oversample)
-        samples_db[t] = PaprSample.from_linear(score).db
+            index, score, _ = pts_search(
+                symbols, partition, config.pts_phase_order, oversample, workspace)
+        # PaprSample.db's expression: np.log10 can be an ulp away from it.
+        samples_db[t] = 10.0 * math.log10(score)
         side_info[t] = index
 
     empirical = empirical_ccdf(samples_db, config.thresholds_db)

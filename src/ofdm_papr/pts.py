@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame import PaprSample, TimeFrame, papr_linear, pick_min, time_samples
+from .frame import PaprSample, TimeFrame, Workspace, papr_linear, pick_min, time_samples
 from .modulation import FrequencyFrame
 
 _ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])   # W=2 uses the first two
@@ -138,23 +138,52 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     return [PhaseVector(row, i) for i, row in enumerate(_factor_matrix(w, v_count))]
 
 
-def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int,
-               oversample: int) -> tuple[int, float, np.ndarray]:
-    """Array core of :func:`pts_reduce`: (combination index, linear PAPR, samples)."""
-    factors = _factor_matrix(w, partition.v_count)[:w ** (partition.v_count - 1)]
-    blocks = np.where(partition.block_of == np.arange(partition.v_count)[:, None], symbols, 0.0)
-    block_times = time_samples(blocks, oversample)       # (V, L*N), one transform each
-    candidates = factors @ block_times                   # (W^(V-1), L*N) weighted sums
-    scores = papr_linear(candidates)
-    best = pick_min(scores)
+@dataclass(frozen=True, eq=False, slots=True)
+class PtsWorkspace:
+    """:func:`pts_search`'s per-run state for one partition, W and L.
 
-    base_samples = time_samples(symbols, oversample)
-    base_score = float(papr_linear(base_samples))
-    if scores[best] > base_score:
+    ``masks`` row 0 selects every subcarrier (the unmodified frame) and row
+    1 + v those of block v.  ``candidates`` holds the W^(V-1) weighted sums,
+    then the unmodified frame, then the V block signals: ``frames``
+    transforms into its last V+1 rows and scores its first W^(V-1)+1.
+    """
+
+    masks: np.ndarray
+    factors: np.ndarray
+    candidates: np.ndarray
+    frames: Workspace
+
+    @classmethod
+    def sized(cls, partition: SubBlockPartition, w: int, oversample: int) -> "PtsWorkspace":
+        v, n = partition.v_count, partition.n
+        factors = _factor_matrix(w, v)[:w ** (v - 1)]     # the orbit representatives
+        c, p = factors.shape[0], oversample * n
+        masks = np.vstack([np.ones(n, dtype=bool), partition.block_of == np.arange(v)[:, None]])
+        candidates = np.empty((c + 1 + v, p), dtype=np.complex128)
+        frames = Workspace(np.zeros((v + 1, p), dtype=np.complex128), candidates[c:],
+                           np.empty((c + 1, p)), np.empty((c + 1, p)))
+        return cls(masks, factors, candidates, frames)
+
+
+def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int,
+               workspace: PtsWorkspace | None = None) -> tuple[int, float, np.ndarray]:
+    """Array core of :func:`pts_reduce`: (combination index, linear PAPR, samples).
+
+    ``workspace`` must be sized for the same partition, W and L; without
+    one, the call builds its own.
+    """
+    ws = workspace if workspace is not None else PtsWorkspace.sized(partition, w, oversample)
+    c = ws.factors.shape[0]
+    # The unmodified frame and the V blocks, one transform each, into candidates[c:]
+    signals = time_samples(np.where(ws.masks, symbols, 0.0), oversample, ws.frames)
+    np.matmul(ws.factors, signals[1:], out=ws.candidates[:c])   # the weighted sums
+    scores = papr_linear(ws.candidates[:c + 1], ws.frames)      # ... and the unmodified frame
+    best = pick_min(scores[:c])
+    if scores[best] > scores[c]:
         # Rounding in the block sums can lift the all-ones candidate a few
         # ulps above the directly synthesized frame; floor at the original.
-        return 0, base_score, base_samples
-    return best, scores[best], candidates[best].copy()   # a view would pin every candidate
+        return 0, scores[c], signals[0].copy()
+    return best, scores[best], ws.candidates[best].copy()   # the next search rewrites it
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import PaprSample, TimeFrame, papr_linear, pick_min, time_samples
+from .frame import PaprSample, TimeFrame, Workspace, papr_linear, pick_min, time_samples
 from .modulation import FrequencyFrame
 
 PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])
@@ -50,20 +50,26 @@ class SlmResult:
 
 
 def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Array core of :func:`generate_phase_sequences`: all-ones row 0, then drawn rows."""
+    """Array core of :func:`generate_phase_sequences`: all-ones row 0, then drawn rows.
+
+    One draw of (M-1, N) alphabet indices; it yields the same rotations as
+    M-1 draws of N, one row at a time, from the same stream.
+    """
     rows = np.ones((m_count, n), dtype=np.complex128)
-    for row in rows[1:]:
-        row[:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, n)]
+    rows[1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n))]
     return rows
 
 
-def slm_search(symbols: np.ndarray, rotations: np.ndarray,
-               oversample: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, winner's samples)."""
-    candidates = time_samples(symbols * rotations, oversample)
-    scores = papr_linear(candidates)
+def slm_search(symbols: np.ndarray, rotations: np.ndarray, oversample: int,
+               workspace: Workspace | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+    """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, winner's samples).
+
+    ``workspace`` holds (M, L*N) buffers; without one, each step builds its own.
+    """
+    candidates = time_samples(symbols * rotations, oversample, workspace)
+    scores = papr_linear(candidates, workspace)
     best = pick_min(scores)
-    return best, scores, candidates[best].copy()   # a view would pin every candidate
+    return best, scores, candidates[best].copy()   # the next search rewrites the workspace
 
 
 def generate_phase_sequences(m_count: int, n: int,

@@ -143,3 +143,9 @@ def test_time_frame_sample_count_consistency():
     assert frame.n_subcarriers == 4
     with pytest.raises(ValueError, match="multiple"):
         TimeFrame([1, 0, 0], 2)
+
+
+def test_papr_needs_a_power_of_two_sample_count():
+    # The pairwise power sum halves the frame level by level.
+    with pytest.raises(ValueError, match="power-of-two sample count"):
+        papr(TimeFrame(np.arange(1, 7), 1))

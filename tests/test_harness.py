@@ -21,6 +21,10 @@ from ofdm_papr import (
     trial_stream,
     write_result,
 )
+from ofdm_papr.frame import Workspace, papr_linear, time_samples
+from ofdm_papr.modulation import draw_symbols
+from ofdm_papr.pts import PartitionScheme, PtsWorkspace, make_partition, pts_search
+from ofdm_papr.slm import phase_rotations, slm_search
 
 FAST_GRID = threshold_grid(0.0, 13.0, 0.5)
 
@@ -225,3 +229,38 @@ def test_config_replace_keeps_validation():
     config = quick_config()
     with pytest.raises(ValueError, match="divide"):
         run_experiment(replace(config, pts_blocks=7))
+
+
+@pytest.mark.parametrize("modulation", list(ModulationScheme))
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+@pytest.mark.parametrize("method", list(Method))
+def test_a_reused_workspace_carries_nothing_between_trials(method, oversample, modulation):
+    # run_experiment sizes one workspace per run.  A frame searched right
+    # after another one must get, bit for bit, what a fresh workspace gives.
+    n, m, v, w = 16, 4, 4, 4
+    rng = np.random.default_rng(8)
+    partition = make_partition(n, v, PartitionScheme.PSEUDO_RANDOM, rng)
+    frames = [(np.ones(n, dtype=np.complex128), phase_rotations(m, n, rng)),
+              (draw_symbols(n, modulation, rng), phase_rotations(m, n, rng))]
+
+    def workspace():
+        if method is Method.PTS:
+            return PtsWorkspace.sized(partition, w, oversample)
+        return Workspace.sized(((m,) if method is Method.SLM else ()) + (oversample * n,))
+
+    def search(symbols, rotations, ws):
+        if method is Method.NONE:
+            samples = time_samples(symbols, oversample, ws)
+            return 0, papr_linear(samples, ws), samples.copy()
+        if method is Method.SLM:
+            index, scores, samples = slm_search(symbols, rotations, oversample, ws)
+            return index, scores[index], samples
+        return pts_search(symbols, partition, w, oversample, ws)
+
+    reused = workspace()
+    search(*frames[0], reused)
+    index, score, samples = search(*frames[1], reused)
+    fresh_index, fresh_score, fresh_samples = search(*frames[1], workspace())
+    assert index == fresh_index
+    assert np.float64(score).tobytes() == np.float64(fresh_score).tobytes()
+    assert samples.tobytes() == fresh_samples.tobytes()

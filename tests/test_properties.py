@@ -14,7 +14,10 @@ drifting apart, and hold the run path to its guarantees:
   never-worse guarantees compare a batched candidate with a lone frame);
 * candidates that tie in exact arithmetic resolve to the lowest index;
 * the PTS search over the W^(V-1) orbit representatives picks, bit for
-  bit, what the exhaustive W^V search picks.
+  bit, what the exhaustive W^V search picks;
+* SLM's one (M-1, N) draw of phase indices gives the rotations that M-1
+  draws of N, one row at a time, give from the same stream (the per-trial
+  stream contract rests on it).
 
 The random run configs limit V to W^V <= 256 to keep each example fast;
 the orbit property alone goes up to W^V = 4^8.
@@ -50,6 +53,7 @@ from ofdm_papr import (
 )
 from ofdm_papr.frame import papr_linear, pick_min
 from ofdm_papr.pts import pts_search
+from ofdm_papr.slm import PHASE_ALPHABET, phase_rotations
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -228,3 +232,19 @@ def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, schem
     found_index, found_score, _ = pts_search(symbols, partition, w, oversample)
     assert found_index == index
     assert np.float64(found_score).tobytes() == np.float64(score).tobytes()
+
+
+def per_row_rotations(m_count, n, rng):
+    """The identity row, then one draw of N alphabet indices per row."""
+    rows = np.ones((m_count, n), dtype=np.complex128)
+    for row in rows[1:]:
+        row[:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, n)]
+    return rows
+
+
+@SETTINGS
+@given(st.sampled_from([2 ** k for k in range(11)]), st.integers(1, 16),
+       st.integers(0, 2 ** 64 - 1))
+def test_one_rotation_draw_equals_the_per_row_draws(n, m_count, seed):
+    drawn = phase_rotations(m_count, n, trial_stream(seed, 1, 0))
+    assert drawn.tobytes() == per_row_rotations(m_count, n, trial_stream(seed, 1, 0)).tobytes()
