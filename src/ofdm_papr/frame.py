@@ -13,10 +13,10 @@ yields exactly the same value as the same frame scored alone.  The
 never-worse guarantees of the reduction algorithms rely on this.
 
 :func:`time_samples` and :func:`papr_linear` write every L*N-sized array
-they produce into a :class:`Workspace`.  A run sizes one workspace from its
-config and reuses it on every trial, so no trial allocates (and
-page-faults in) a fresh candidate block; a call without a workspace builds
-a one-shot workspace for itself.
+they produce into a :class:`Workspace`.  A run sizes one workspace for a
+chunk of trials from its config and reuses it on every chunk, so no trial
+allocates (and page-faults in) a fresh candidate block; a call without a
+workspace allocates only the arrays it uses.
 """
 
 from __future__ import annotations
@@ -78,13 +78,15 @@ class Workspace:
     ever written, so its middle band stays zero.  ``power`` and ``scratch``
     are :func:`papr_linear`'s |x|^2 and its second summand; ``halves`` are
     the levels of the pairwise power sum, packed into ``scratch`` once the
-    summand is spent.
+    summand is spent.  ``spectra``, when present, holds the (..., N)
+    candidate spectra that a search core builds before synthesis.
     """
 
     padded: np.ndarray
     samples: np.ndarray
     power: np.ndarray
     scratch: np.ndarray
+    spectra: np.ndarray | None = None
     halves: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -100,17 +102,19 @@ class Workspace:
         object.__setattr__(self, "halves", tuple(halves))
 
     @classmethod
-    def sized(cls, shape: tuple[int, ...]) -> "Workspace":
-        """Buffers for frames of ``shape`` = (..., L*N) samples."""
+    def sized(cls, shape: tuple[int, ...], n: int | None = None) -> "Workspace":
+        """Buffers for frames of ``shape`` = (..., L*N) samples, and spectra of ``n`` if given."""
+        spectra = None if n is None else np.empty(shape[:-1] + (n,), dtype=np.complex128)
         return cls(np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128),
-                   np.empty(shape), np.empty(shape))
+                   np.empty(shape), np.empty(shape), spectra)
 
 
-def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray) -> np.ndarray:
+def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray | None) -> np.ndarray:
     """Zero-pad (..., N) spectra at the midpoint to length L*N, into ``out``.
 
     ``out`` is a (..., L*N) buffer whose middle band is zero; only its two
-    ends are written.  At L=1 the spectra are returned as they are.
+    ends are written.  At L=1 the spectra are returned as they are and
+    ``out`` is not used.
     """
     n = symbols.shape[-1]
     if oversample == 1:
@@ -125,8 +129,8 @@ def time_samples(symbols, oversample: int = 1, workspace: Workspace | None = Non
     """Synthesize (..., L*N) time samples from (..., N) spectra.
 
     Array-level core of :func:`synthesize`; batches transform in one call.
-    Writes into ``workspace`` (a one-shot one when none is given) and
-    returns its ``samples``.
+    Writes into ``workspace`` and returns its ``samples``; without one, it
+    allocates the padded spectra (L > 1) and the samples.
     """
     arr = np.asarray(symbols, dtype=np.complex128)
     n = arr.shape[-1]
@@ -135,13 +139,18 @@ def time_samples(symbols, oversample: int = 1, workspace: Workspace | None = Non
     if not is_power_of_two(oversample * n):
         raise ValueError(f"L*N = {oversample * n} is not a power of two")
     if workspace is None:
-        workspace = Workspace.sized(arr.shape[:-1] + (oversample * n,))
+        padded = (np.zeros(arr.shape[:-1] + (oversample * n,), dtype=np.complex128)
+                  if oversample > 1 else None)
+        return inverse_dft(pad_spectrum(arr, oversample, padded))
     return inverse_dft(pad_spectrum(arr, oversample, workspace.padded), out=workspace.samples)
 
 
-def _tree_sum(values: np.ndarray, halves: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Even/odd pairwise sum over the last (power-of-two) axis, level by level into halves."""
-    for level in halves:
+def _tree_sum(values: np.ndarray, halves: tuple[np.ndarray, ...] | None) -> np.ndarray:
+    """Even/odd pairwise sum over the last (power-of-two) axis, level by level into halves.
+
+    Without halves, each level is a fresh array: the same sums, bit for bit.
+    """
+    for level in halves or [None] * (values.shape[-1].bit_length() - 1):
         values = np.add(values[..., 0::2], values[..., 1::2], out=level)
     return values[..., 0]
 
@@ -149,27 +158,28 @@ def _tree_sum(values: np.ndarray, halves: tuple[np.ndarray, ...]) -> np.ndarray:
 def papr_linear(samples: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
     """Peak power over mean power along the last axis; batch friendly.
 
-    The |x|^2 and pairwise-sum buffers are ``workspace``'s (a one-shot one
-    when none is given).
+    The |x|^2 and pairwise-sum buffers are ``workspace``'s; without one,
+    they are allocated.
     """
-    if workspace is None:
-        workspace = Workspace.sized(samples.shape)
-    p = np.square(samples.real, out=workspace.power)
-    np.add(p, np.square(samples.imag, out=workspace.scratch), out=p)
+    power, scratch, halves = ((None, None, None) if workspace is None else
+                              (workspace.power, workspace.scratch, workspace.halves))
+    p = np.square(samples.real, out=power)
+    np.add(p, np.square(samples.imag, out=scratch), out=p)
     peak = p.max(axis=-1)
-    return peak / (_tree_sum(p, workspace.halves) / p.shape[-1])
+    return peak / (_tree_sum(p, halves) / p.shape[-1])
 
 
 _TIE_RTOL = 1e-12
 
 
-def pick_min(scores: np.ndarray) -> int:
-    """Lowest index within a relative 1e-12 window of the minimum score.
+def pick_min(scores: np.ndarray) -> np.ndarray:
+    """Lowest index along the last axis within a relative 1e-12 window of its minimum.
 
     Candidates that tie in exact arithmetic then resolve the same way
-    despite rounding noise.  SLM and PTS both select with it.
+    despite rounding noise.  SLM and PTS both select with it, one trial
+    per row of (..., C) scores.
     """
-    return int(np.flatnonzero(scores <= scores.min() * (1.0 + _TIE_RTOL))[0])
+    return (scores <= scores.min(axis=-1, keepdims=True) * (1.0 + _TIE_RTOL)).argmax(axis=-1)
 
 
 def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:

@@ -8,6 +8,11 @@ partition shuffle.  Streams are therefore order-independent: results do
 not depend on how trials are scheduled, and different methods run under
 the same master seed consume identical per-trial data frames.
 
+Trials run in chunks: each trial draws from its own streams into one row
+of the chunk, and the chunk is synthesized, scored and searched in one
+batch.  Every row of a batch is computed exactly as it would be alone, so
+results are also chunk-independent: the chunk size changes no byte.
+
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
 as it is part of the system configuration rather than of the per-frame
@@ -31,13 +36,18 @@ from .modulation import ModulationScheme, draw_symbols
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, PtsWorkspace, make_partition, pts_search
+from .pts import (PartitionScheme, PtsWorkspace, SubBlockPartition, make_partition,
+                  pts_search)
 from .slm import phase_rotations, slm_search
 from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
 
 _STREAM_FRAME = 0
 _STREAM_METHOD = 1
 _STREAM_PARTITION = 2
+
+# Candidate samples per chunk of trials.  A larger budget was no faster at
+# L=1 and raised the peak RSS by several MiB (ROADMAP item 2).
+_CHUNK_SAMPLES = 2 ** 12
 
 
 class Method(Enum):
@@ -153,42 +163,45 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
     """Run the configured trials and collect the empirical CCDF.
 
     Identical configs produce identical samples regardless of execution
-    order because each trial's streams derive only from (master_seed,
-    purpose, trial).  The analytic curve is attached for the methods with
-    a closed form (none and slm); a PTS run never carries one.
+    order and chunk size because each trial's streams derive only from
+    (master_seed, purpose, trial).  The analytic curve is attached for the
+    methods with a closed form (none and slm); a PTS run never carries one.
     """
     config.validate()
     n, oversample, seed = config.n_subcarriers, config.oversample, config.master_seed
+    m, w, v = config.slm_branches, config.pts_phase_order, config.pts_blocks
     started = time.perf_counter()
 
-    # One workspace for the whole run: the trials reuse its buffers.
     partition = None
     if config.method is Method.PTS:
-        partition = make_partition(
-            n, config.pts_blocks, config.partition_scheme, trial_stream(seed, _STREAM_PARTITION))
-        workspace = PtsWorkspace.sized(partition, config.pts_phase_order, oversample)
-    elif config.method is Method.SLM:
-        workspace = Workspace.sized((config.slm_branches, oversample * n))
-    else:
-        workspace = Workspace.sized((oversample * n,))
+        partition = make_partition(n, v, config.partition_scheme,
+                                   trial_stream(seed, _STREAM_PARTITION))
+    candidates = (m if config.method is Method.SLM
+                  else w ** (v - 1) if config.method is Method.PTS else 1)
+    rows = max(1, min(config.trials, _CHUNK_SAMPLES // (candidates * oversample * n)))
 
-    samples_db = np.empty(config.trials, dtype=np.float64)
+    # One set of chunk buffers for the whole run: the chunks reuse them.
+    symbols = np.empty((rows, n), dtype=np.complex128)
+    rotations = (np.empty((rows, m, n), dtype=np.complex128)
+                 if config.method is Method.SLM else None)
+    workspace = _workspace(config, partition, rows)
+    linear = np.empty(config.trials, dtype=np.float64)
     side_info = np.zeros(config.trials, dtype=np.int64)
-    for t in range(config.trials):
-        symbols = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
-        if config.method is Method.NONE:
-            index, score = 0, papr_linear(time_samples(symbols, oversample, workspace), workspace)
-        elif config.method is Method.SLM:
-            rotations = phase_rotations(
-                config.slm_branches, n, trial_stream(seed, _STREAM_METHOD, t))
-            index, scores, _ = slm_search(symbols, rotations, oversample, workspace)
-            score = scores[index]
-        else:
-            index, score, _ = pts_search(
-                symbols, partition, config.pts_phase_order, oversample, workspace)
-        # PaprSample.db's expression: np.log10 can be an ulp away from it.
-        samples_db[t] = 10.0 * math.log10(score)
-        side_info[t] = index
+    for start in range(0, config.trials, rows):
+        stop = min(start + rows, config.trials)
+        if stop - start < rows:
+            rows = stop - start             # the ragged last chunk
+            workspace = _workspace(config, partition, rows)
+        for i, t in enumerate(range(start, stop)):
+            draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t),
+                         out=symbols[i])
+            if rotations is not None:
+                phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t), out=rotations[i])
+        side_info[start:stop], linear[start:stop] = _search(
+            config, partition, workspace, symbols[:rows],
+            None if rotations is None else rotations[:rows])
+    # PaprSample.db's expression: np.log10 can be an ulp away from it.
+    samples_db = np.array([10.0 * math.log10(score) for score in linear.tolist()])
 
     empirical = empirical_ccdf(samples_db, config.thresholds_db)
     analytic_curve = None
@@ -204,6 +217,31 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
         side_info=side_info,
         elapsed_seconds=time.perf_counter() - started,
     )
+
+
+def _workspace(config: ExperimentConfig, partition: SubBlockPartition | None,
+               rows: int) -> Workspace | PtsWorkspace:
+    """The search buffers of a chunk of ``rows`` trials."""
+    samples = config.oversample * config.n_subcarriers
+    if config.method is Method.PTS:
+        return PtsWorkspace.sized(partition, config.pts_phase_order, config.oversample, (rows,))
+    if config.method is Method.SLM:
+        return Workspace.sized((rows, config.slm_branches, samples), config.n_subcarriers)
+    return Workspace.sized((rows, samples))
+
+
+def _search(config: ExperimentConfig, partition: SubBlockPartition | None,
+            workspace: Workspace | PtsWorkspace, symbols: np.ndarray,
+            rotations: np.ndarray | None) -> tuple[np.ndarray | int, np.ndarray]:
+    """(selected index, linear PAPR) of each trial of a chunk."""
+    if config.method is Method.PTS:
+        index, score, _ = pts_search(symbols, partition, config.pts_phase_order,
+                                     config.oversample, workspace)
+        return index, score
+    if config.method is Method.SLM:
+        index, scores, _ = slm_search(symbols, rotations, config.oversample, workspace)
+        return index, scores[np.arange(len(index)), index]
+    return 0, papr_linear(time_samples(symbols, config.oversample, workspace), workspace)
 
 
 def write_result(result: ExperimentResult, format: str, destination) -> None:

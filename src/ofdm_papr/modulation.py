@@ -76,10 +76,16 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
     return scheme.symbol_table[values]
 
 
-def draw_symbols(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> np.ndarray:
-    """Array core of :func:`random_frame`: n i.i.d. uniform constellation symbols."""
+def draw_symbols(n: int, scheme: ModulationScheme, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Array core of :func:`random_frame`: n i.i.d. uniform constellation symbols.
+
+    Written into ``out`` (an (n,) complex128 array) when given.
+    """
     table = scheme.symbol_table
-    return table[rng.integers(0, table.size, n)]
+    # The drawn indices are in range, so "clip" changes nothing; it spares
+    # the copy of ``out`` that the default "raise" mode makes.
+    return table.take(rng.integers(0, table.size, n), out=out, mode="clip")
 
 
 def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> FrequencyFrame:

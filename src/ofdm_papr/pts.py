@@ -23,6 +23,7 @@ Selection details:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -143,47 +144,66 @@ class PtsWorkspace:
     """:func:`pts_search`'s per-run state for one partition, W and L.
 
     ``masks`` row 0 selects every subcarrier (the unmodified frame) and row
-    1 + v those of block v.  ``candidates`` holds the W^(V-1) weighted sums,
-    then the unmodified frame, then the V block signals: ``frames``
-    transforms into its last V+1 rows and scores its first W^(V-1)+1.
+    1 + v those of block v; ``frames.spectra`` holds the masked spectra,
+    zero wherever the mask is off.  ``candidates`` holds the W^(V-1)
+    weighted sums, then the unmodified frame, then the V block signals:
+    ``frames`` transforms into its last V+1 rows and scores its first
+    W^(V-1)+1; ``offsets`` holds where each trial's scores start in the
+    flattened scores.  Every array but ``masks`` and ``factors`` carries
+    the leading ``trials`` shape.
     """
 
     masks: np.ndarray
     factors: np.ndarray
     candidates: np.ndarray
     frames: Workspace
+    offsets: np.ndarray
 
     @classmethod
-    def sized(cls, partition: SubBlockPartition, w: int, oversample: int) -> "PtsWorkspace":
+    def sized(cls, partition: SubBlockPartition, w: int, oversample: int,
+              trials: tuple[int, ...] = ()) -> "PtsWorkspace":
         v, n = partition.v_count, partition.n
         factors = _factor_matrix(w, v)[:w ** (v - 1)]     # the orbit representatives
         c, p = factors.shape[0], oversample * n
         masks = np.vstack([np.ones(n, dtype=bool), partition.block_of == np.arange(v)[:, None]])
-        candidates = np.empty((c + 1 + v, p), dtype=np.complex128)
-        frames = Workspace(np.zeros((v + 1, p), dtype=np.complex128), candidates[c:],
-                           np.empty((c + 1, p)), np.empty((c + 1, p)))
-        return cls(masks, factors, candidates, frames)
+        candidates = np.empty(trials + (c + 1 + v, p), dtype=np.complex128)
+        frames = Workspace(np.zeros(trials + (v + 1, p), dtype=np.complex128),
+                           candidates[..., c:, :], np.empty(trials + (c + 1, p)),
+                           np.empty(trials + (c + 1, p)),
+                           np.zeros(trials + (v + 1, n), dtype=np.complex128))
+        offsets = np.arange(0, math.prod(trials) * (c + 1), c + 1).reshape(trials)
+        return cls(masks, factors, candidates, frames, offsets)
 
 
 def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int,
-               workspace: PtsWorkspace | None = None) -> tuple[int, float, np.ndarray]:
-    """Array core of :func:`pts_reduce`: (combination index, linear PAPR, samples).
+               workspace: PtsWorkspace | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array core of :func:`pts_reduce`: (combination index, linear PAPR, candidates).
 
-    ``workspace`` must be sized for the same partition, W and L; without
-    one, the call builds its own.
+    Takes (..., N) symbols, one trial per leading index, and returns (...)
+    indices and PAPRs and the (..., W^(V-1), L*N) candidate samples, the
+    winner at the returned index.  ``workspace`` must be sized for the same
+    partition, W, L and leading shape, and the candidates are its own,
+    rewritten by the next search; without one, the call builds its own.
     """
-    ws = workspace if workspace is not None else PtsWorkspace.sized(partition, w, oversample)
+    ws = (workspace if workspace is not None
+          else PtsWorkspace.sized(partition, w, oversample, symbols.shape[:-1]))
     c = ws.factors.shape[0]
-    # The unmodified frame and the V blocks, one transform each, into candidates[c:]
-    signals = time_samples(np.where(ws.masks, symbols, 0.0), oversample, ws.frames)
-    np.matmul(ws.factors, signals[1:], out=ws.candidates[:c])   # the weighted sums
-    scores = papr_linear(ws.candidates[:c + 1], ws.frames)      # ... and the unmodified frame
-    best = pick_min(scores[:c])
-    if scores[best] > scores[c]:
-        # Rounding in the block sums can lift the all-ones candidate a few
-        # ulps above the directly synthesized frame; floor at the original.
-        return 0, scores[c], signals[0].copy()
-    return best, scores[best], ws.candidates[best].copy()   # the next search rewrites it
+    # The unmodified frame and the V blocks, one transform each, into candidates[..., c:, :]
+    np.copyto(ws.frames.spectra, symbols[..., None, :], where=ws.masks)
+    signals = time_samples(ws.frames.spectra, oversample, ws.frames)
+    np.matmul(ws.factors, signals[..., 1:, :], out=ws.candidates[..., :c, :])  # the weighted sums
+    scores = papr_linear(ws.candidates[..., :c + 1, :], ws.frames)   # ... and the unmodified frame
+    best = pick_min(scores[..., :c])
+    score = scores.take(ws.offsets + best)
+    # Rounding in the block sums can lift the all-ones candidate a few ulps
+    # above the directly synthesized frame; floor at the original, row c,
+    # which then takes the place of the all-ones candidate, row 0.
+    floored = score > scores[..., c]
+    if np.count_nonzero(floored):
+        np.copyto(ws.candidates[..., 0, :], ws.candidates[..., c, :], where=floored[..., None])
+        best, score = np.where(floored, 0, best), np.where(floored, scores[..., c], score)
+    return best, score, ws.candidates[..., :c, :]
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
@@ -198,9 +218,10 @@ def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
         raise ValueError(
             f"partition over {partition.n} subcarriers does not match frame "
             f"of {freq.n_subcarriers}")
-    best, score, samples = pts_search(freq.symbols, partition, w, oversample)
+    best, score, candidates = pts_search(freq.symbols, partition, w, oversample)
+    best = int(best)
     return PtsResult(
-        frame=TimeFrame(samples, oversample),
+        frame=TimeFrame(candidates[best], oversample),
         chosen=PhaseVector(_factor_matrix(w, partition.v_count)[best], best),
         papr=PaprSample.from_linear(score),
         combinations_searched=w ** (partition.v_count - 1),

@@ -49,27 +49,39 @@ class SlmResult:
     all_paprs: list[PaprSample]
 
 
-def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def phase_rotations(m_count: int, n: int, rng: np.random.Generator,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Array core of :func:`generate_phase_sequences`: all-ones row 0, then drawn rows.
 
     One draw of (M-1, N) alphabet indices; it yields the same rotations as
-    M-1 draws of N, one row at a time, from the same stream.
+    M-1 draws of N, one row at a time, from the same stream.  Written into
+    ``out`` (an (M, N) complex128 array) when given.
     """
-    rows = np.ones((m_count, n), dtype=np.complex128)
-    rows[1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n))]
+    rows = np.empty((m_count, n), dtype=np.complex128) if out is None else out
+    rows[0] = 1.0
+    # In-range indices: "clip" spares the copy of ``out`` that "raise" makes.
+    PHASE_ALPHABET.take(rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n)),
+                        out=rows[1:], mode="clip")
     return rows
 
 
 def slm_search(symbols: np.ndarray, rotations: np.ndarray, oversample: int,
-               workspace: Workspace | None = None) -> tuple[int, np.ndarray, np.ndarray]:
-    """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, winner's samples).
+               workspace: Workspace | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, candidates).
 
-    ``workspace`` holds (M, L*N) buffers; without one, each step builds its own.
+    Takes (..., N) symbols and (..., M, N) rotations, one trial per leading
+    index, and returns (...) indices, (..., M) PAPRs and the (..., M, L*N)
+    candidate samples, the winner at the selected index.  ``workspace``
+    holds (..., M, L*N) buffers and the (..., M, N) rotated spectra, and
+    the candidates are its own, rewritten by the next search; without one,
+    each step allocates its own.
     """
-    candidates = time_samples(symbols * rotations, oversample, workspace)
+    spectra = np.multiply(symbols[..., None, :], rotations,
+                          out=None if workspace is None else workspace.spectra)
+    candidates = time_samples(spectra, oversample, workspace)
     scores = papr_linear(candidates, workspace)
-    best = pick_min(scores)
-    return best, scores, candidates[best].copy()   # the next search rewrites the workspace
+    return pick_min(scores), scores, candidates
 
 
 def generate_phase_sequences(m_count: int, n: int,
@@ -95,11 +107,11 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
         if s.rotations.size != freq.n_subcarriers:
             raise ValueError(
                 f"sequence length {s.rotations.size} != frame length {freq.n_subcarriers}")
-    best, scores, samples = slm_search(
+    best, scores, candidates = slm_search(
         freq.symbols, np.stack([s.rotations for s in sequences]), oversample)
     return SlmResult(
-        frame=TimeFrame(samples, oversample),
-        selected_index=best,
+        frame=TimeFrame(candidates[best], oversample),
+        selected_index=int(best),
         papr=PaprSample.from_linear(scores[best]),
         all_paprs=[PaprSample.from_linear(v) for v in scores],
     )

@@ -21,6 +21,7 @@ from ofdm_papr import (
     trial_stream,
     write_result,
 )
+from ofdm_papr import harness
 from ofdm_papr.frame import Workspace, papr_linear, time_samples
 from ofdm_papr.modulation import draw_symbols
 from ofdm_papr.pts import PartitionScheme, PtsWorkspace, make_partition, pts_search
@@ -264,3 +265,34 @@ def test_a_reused_workspace_carries_nothing_between_trials(method, oversample, m
     assert index == fresh_index
     assert np.float64(score).tobytes() == np.float64(fresh_score).tobytes()
     assert samples.tobytes() == fresh_samples.tobytes()
+
+
+@pytest.mark.parametrize("modulation", list(ModulationScheme))
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+@pytest.mark.parametrize("method", list(Method))
+def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulation):
+    # run_experiment searches its trials in chunks of T, sized from a
+    # private budget of candidate samples.  One trial per chunk, a T that
+    # leaves a ragged last chunk (23 = 4*5 + 3) and the default T must give
+    # the same bytes.
+    n, trials = 16, 23
+    config = quick_config(n_subcarriers=n, oversample=oversample, method=method,
+                          modulation=modulation, trials=trials, slm_branches=4,
+                          pts_blocks=4, pts_phase_order=2)
+    candidates = {Method.NONE: 1, Method.SLM: 4, Method.PTS: 2 ** 3}[method]
+    search, chunks = harness._search, []
+
+    def counted(config, partition, workspace, symbols, rotations):
+        chunks.append(len(symbols))
+        return search(config, partition, workspace, symbols, rotations)
+
+    monkeypatch.setattr(harness, "_search", counted)
+    default = run_experiment(config)
+    assert sum(chunks) == trials
+    for rows, sizes in ((1, [1] * trials), (5, [5, 5, 5, 5, 3])):
+        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", rows * candidates * oversample * n)
+        chunks.clear()
+        result = run_experiment(config)
+        assert chunks == sizes
+        assert result.samples_db.tobytes() == default.samples_db.tobytes()
+        assert result.side_info.tobytes() == default.side_info.tobytes()

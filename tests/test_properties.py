@@ -13,6 +13,8 @@ drifting apart, and hold the run path to its guarantees:
   transformed alone, whatever the batch shape and memory layout (the
   never-worse guarantees compare a batched candidate with a lone frame);
 * candidates that tie in exact arithmetic resolve to the lowest index;
+* the row-wise pick of a (..., C) score batch equals, row by row, the pick
+  of that row alone, ties inside the 1e-12 window included;
 * the PTS search over the W^(V-1) orbit representatives picks, bit for
   bit, what the exhaustive W^V search picks;
 * SLM's one (M-1, N) draw of phase indices gives the rotations that M-1
@@ -159,6 +161,22 @@ def test_a_batched_transform_equals_each_row_alone(batch, oversample):
     for idx in np.ndindex(symbols.shape[:-1]):
         alone = time_samples(symbols[idx].copy(), oversample)
         assert synthesized[idx].tobytes() == alone.tobytes()
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_the_row_wise_pick_equals_each_row_picked_alone(lead, columns, seed):
+    # Offsets inside, at the edge of and beyond the tie window, on a scale
+    # that differs from row to row: most rows hold ties only the window breaks.
+    rng = np.random.default_rng(seed)
+    offsets = np.array([0.0, 1e-13, 9e-13, 1e-12, 2e-12, 1e-6, 0.5])
+    scores = (rng.uniform(1.0, 100.0, (*lead, 1))
+              * (1.0 + rng.choice(offsets, (*lead, columns))))
+    picked = pick_min(scores)
+    assert picked.shape == tuple(lead)
+    alone = np.array([pick_min(scores[idx].copy()) for idx in np.ndindex(*lead)])
+    assert picked.ravel().tobytes() == alone.tobytes()
 
 
 @SETTINGS
