@@ -12,17 +12,17 @@ for any leading batch shape, so a frame scored inside a candidate batch
 yields exactly the same value as the same frame scored alone.  The
 never-worse guarantees of the reduction algorithms rely on this.
 
-:func:`time_samples` and :func:`papr_linear` write every L*N-sized array
-they produce into a :class:`Workspace`.  A run sizes one workspace for a
-chunk of trials from its config and reuses it on every chunk, so no trial
-allocates (and page-faults in) a fresh candidate block; a call without a
-workspace allocates only the arrays it uses.
+:func:`time_samples` and :func:`papr_linear` allocate the arrays of each
+call: the zero-padded spectra (L > 1), the time samples, |x|^2 and the
+levels of the pairwise sum.  :func:`check_work` bounds the size of what a
+call may allocate; :func:`time_samples` (so :func:`synthesize`), the SLM
+and PTS public functions and the experiment config call it first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,104 +69,61 @@ class TimeFrame:
         return self.samples.size // self.oversample
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Workspace:
-    """Buffers that synthesize and score a block of (..., L*N) frames.
+def check_work(n: int, oversample: int, candidates: int = 1) -> None:
+    """Reject a frame of L*N samples, or a block of C such frames, too large to search.
 
-    ``padded`` and ``samples`` are :func:`time_samples`' zero-padded
-    spectra and time samples; only the two occupied ends of ``padded`` are
-    ever written, so its middle band stays zero.  ``power`` and ``scratch``
-    are :func:`papr_linear`'s |x|^2 and its second summand; ``halves`` are
-    the levels of the pairwise power sum, packed into ``scratch`` once the
-    summand is spent.  ``spectra``, when present, holds the (..., N)
-    candidate spectra that a search core builds before synthesis.
+    The limits: L*N a power of two at most 2**20, and C*L*N at most 2**24
+    complex samples (256 MiB), the candidate block of one trial.
     """
-
-    padded: np.ndarray
-    samples: np.ndarray
-    power: np.ndarray
-    scratch: np.ndarray
-    spectra: np.ndarray | None = None
-    halves: tuple[np.ndarray, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        # Levels (..., P/2), (..., P/4), ..., (..., 1) one after another,
-        # each contiguous: numpy then sums a level in one strided pass, not
-        # in one pass per row.
-        lead, p, flat = self.scratch.shape[:-1], self.scratch.shape[-1], self.scratch.reshape(-1)
-        rows, halves, start = flat.size // p, [], 0
-        while p > 1:
-            p //= 2
-            halves.append(flat[start:start + rows * p].reshape(lead + (p,)))
-            start += rows * p
-        object.__setattr__(self, "halves", tuple(halves))
-
-    @classmethod
-    def sized(cls, shape: tuple[int, ...], n: int | None = None) -> "Workspace":
-        """Buffers for frames of ``shape`` = (..., L*N) samples, and spectra of ``n`` if given."""
-        spectra = None if n is None else np.empty(shape[:-1] + (n,), dtype=np.complex128)
-        return cls(np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128),
-                   np.empty(shape), np.empty(shape), spectra)
+    if oversample < 1:
+        raise ValueError("oversample must be >= 1")
+    samples = oversample * n
+    if not is_power_of_two(samples):
+        raise ValueError(f"L*N = {samples} is not a power of two")
+    if samples > 2 ** 20:
+        raise ValueError(f"L*N = {samples} exceeds 2**20")
+    if candidates * samples > 2 ** 24:
+        raise ValueError(f"{candidates} candidates of L*N = {samples} samples exceed 2**24")
 
 
-def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray | None) -> np.ndarray:
-    """Zero-pad (..., N) spectra at the midpoint to length L*N, into ``out``.
+def pad_spectrum(symbols: np.ndarray, oversample: int) -> np.ndarray:
+    """Zero-pad (..., N) spectra at the midpoint to length L*N.
 
-    ``out`` is a (..., L*N) buffer whose middle band is zero; only its two
-    ends are written.  At L=1 the spectra are returned as they are and
-    ``out`` is not used.
+    At L=1 the spectra are returned as they are.
     """
     n = symbols.shape[-1]
     if oversample == 1:
         return symbols
     half = n // 2
+    out = np.zeros(symbols.shape[:-1] + (oversample * n,), dtype=np.complex128)
     out[..., :half] = symbols[..., :half]
     out[..., oversample * n - (n - half):] = symbols[..., half:]
     return out
 
 
-def time_samples(symbols, oversample: int = 1, workspace: Workspace | None = None) -> np.ndarray:
+def time_samples(symbols, oversample: int = 1) -> np.ndarray:
     """Synthesize (..., L*N) time samples from (..., N) spectra.
 
     Array-level core of :func:`synthesize`; batches transform in one call.
-    Writes into ``workspace`` and returns its ``samples``; without one, it
-    allocates the padded spectra (L > 1) and the samples.
     """
     arr = np.asarray(symbols, dtype=np.complex128)
-    n = arr.shape[-1]
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    if not is_power_of_two(oversample * n):
-        raise ValueError(f"L*N = {oversample * n} is not a power of two")
-    if workspace is None:
-        padded = (np.zeros(arr.shape[:-1] + (oversample * n,), dtype=np.complex128)
-                  if oversample > 1 else None)
-        return inverse_dft(pad_spectrum(arr, oversample, padded))
-    return inverse_dft(pad_spectrum(arr, oversample, workspace.padded), out=workspace.samples)
+    check_work(arr.shape[-1], oversample)
+    return inverse_dft(pad_spectrum(arr, oversample))
 
 
-def _tree_sum(values: np.ndarray, halves: tuple[np.ndarray, ...] | None) -> np.ndarray:
-    """Even/odd pairwise sum over the last (power-of-two) axis, level by level into halves.
-
-    Without halves, each level is a fresh array: the same sums, bit for bit.
-    """
-    for level in halves or [None] * (values.shape[-1].bit_length() - 1):
-        values = np.add(values[..., 0::2], values[..., 1::2], out=level)
+def _tree_sum(values: np.ndarray) -> np.ndarray:
+    """Even/odd pairwise sum over the last (power-of-two) axis, one fresh array per level."""
+    while values.shape[-1] > 1:
+        values = values[..., 0::2] + values[..., 1::2]
     return values[..., 0]
 
 
-def papr_linear(samples: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
-    """Peak power over mean power along the last axis; batch friendly.
-
-    The |x|^2 and pairwise-sum buffers are ``workspace``'s; without one,
-    they are allocated.
-    """
-    power, scratch, halves = ((None, None, None) if workspace is None else
-                              (workspace.power, workspace.scratch, workspace.halves))
-    p = np.square(samples.real, out=power)
-    np.add(p, np.square(samples.imag, out=scratch), out=p)
+def papr_linear(samples: np.ndarray) -> np.ndarray:
+    """Peak power over mean power along the last axis; batch friendly."""
+    p = np.square(samples.real)
+    p += np.square(samples.imag)
     peak = p.max(axis=-1)
-    return peak / (_tree_sum(p, halves) / p.shape[-1])
+    return peak / (_tree_sum(p) / p.shape[-1])
 
 
 _TIE_RTOL = 1e-12
@@ -182,8 +139,16 @@ def pick_min(scores: np.ndarray) -> np.ndarray:
     return (scores <= scores.min(axis=-1, keepdims=True) * (1.0 + _TIE_RTOL)).argmax(axis=-1)
 
 
+def is_unit_magnitude(values: np.ndarray) -> bool:
+    """Every |value| within 1e-12 of 1; NaN and inf fail."""
+    return bool((np.abs(np.abs(values) - 1.0) <= 1e-12).all())
+
+
 def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:
-    """Synthesize the oversampled time-domain frame of one frequency frame."""
+    """Synthesize the oversampled time-domain frame of one frequency frame.
+
+    :func:`time_samples` bounds L*N by :func:`check_work` before it allocates.
+    """
     return TimeFrame(time_samples(freq.symbols, oversample), oversample)
 
 

@@ -31,13 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .dft import is_power_of_two
-from .frame import Workspace, papr_linear, time_samples
+from .frame import check_work, papr_linear, time_samples
 from .modulation import ModulationScheme, draw_symbols
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import (PartitionScheme, PtsWorkspace, SubBlockPartition, make_partition,
-                  pts_search)
+from .pts import PartitionScheme, SubBlockPartition, make_partition, pts_search
 from .slm import phase_rotations, slm_search
 from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
 
@@ -107,13 +106,7 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
         if not is_power_of_two(self.n_subcarriers):
             raise ValueError(f"n_subcarriers={self.n_subcarriers} is not a power of two")
-        if self.oversample < 1:
-            raise ValueError("oversample must be >= 1")
-        samples = self.oversample * self.n_subcarriers
-        if not is_power_of_two(samples):
-            raise ValueError(f"L*N = {samples} is not a power of two")
-        if samples > 2 ** 20:
-            raise ValueError(f"L*N = {samples} exceeds 2**20")
+        check_work(self.n_subcarriers, self.oversample)   # bounds N before W^(V-1) below
         if not 1 <= self.trials <= 10 ** 8:
             raise ValueError("trials must be in [1, 10**8]")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -127,12 +120,7 @@ class ExperimentConfig:
                 f"pts_blocks={self.pts_blocks} does not divide N={self.n_subcarriers}")
         if self.pts_phase_order not in (2, 4):
             raise ValueError(f"pts_phase_order={self.pts_phase_order} not in (2, 4)")
-        # One trial's candidate block: at most 2**24 complex samples (256 MiB).
-        m, w, v = self.slm_branches, self.pts_phase_order, self.pts_blocks
-        if self.method is Method.SLM and m * samples > 2 ** 24:
-            raise ValueError(f"M*L*N = {m}*{samples} exceeds 2**24")
-        if self.method is Method.PTS and w ** (v - 1) * samples > 2 ** 24:
-            raise ValueError(f"W^(V-1)*L*N = {w}^{v - 1}*{samples} exceeds 2**24")
+        check_work(self.n_subcarriers, self.oversample, _candidates(self))
         grid = np.asarray(self.thresholds_db, dtype=np.float64)
         if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
                 or not np.all(np.diff(grid) > 0)):
@@ -169,37 +157,31 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
     """
     config.validate()
     n, oversample, seed = config.n_subcarriers, config.oversample, config.master_seed
-    m, w, v = config.slm_branches, config.pts_phase_order, config.pts_blocks
+    m, v = config.slm_branches, config.pts_blocks
     started = time.perf_counter()
 
     partition = None
     if config.method is Method.PTS:
         partition = make_partition(n, v, config.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
-    candidates = (m if config.method is Method.SLM
-                  else w ** (v - 1) if config.method is Method.PTS else 1)
-    rows = max(1, min(config.trials, _CHUNK_SAMPLES // (candidates * oversample * n)))
+    rows = max(1, min(config.trials, _CHUNK_SAMPLES // (_candidates(config) * oversample * n)))
 
-    # One set of chunk buffers for the whole run: the chunks reuse them.
+    # One set of chunk rows for the whole run: the chunks reuse them.
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (np.empty((rows, m, n), dtype=np.complex128)
                  if config.method is Method.SLM else None)
-    workspace = _workspace(config, partition, rows)
     linear = np.empty(config.trials, dtype=np.float64)
     side_info = np.zeros(config.trials, dtype=np.int64)
     for start in range(0, config.trials, rows):
         stop = min(start + rows, config.trials)
-        if stop - start < rows:
-            rows = stop - start             # the ragged last chunk
-            workspace = _workspace(config, partition, rows)
         for i, t in enumerate(range(start, stop)):
             draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t),
                          out=symbols[i])
             if rotations is not None:
                 phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t), out=rotations[i])
         side_info[start:stop], linear[start:stop] = _search(
-            config, partition, workspace, symbols[:rows],
-            None if rotations is None else rotations[:rows])
+            config, partition, symbols[:stop - start],
+            None if rotations is None else rotations[:stop - start])
     # PaprSample.db's expression: np.log10 can be an ulp away from it.
     samples_db = np.array([10.0 * math.log10(score) for score in linear.tolist()])
 
@@ -219,29 +201,27 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
     )
 
 
-def _workspace(config: ExperimentConfig, partition: SubBlockPartition | None,
-               rows: int) -> Workspace | PtsWorkspace:
-    """The search buffers of a chunk of ``rows`` trials."""
-    samples = config.oversample * config.n_subcarriers
-    if config.method is Method.PTS:
-        return PtsWorkspace.sized(partition, config.pts_phase_order, config.oversample, (rows,))
+def _candidates(config: ExperimentConfig) -> int:
+    """C, the candidates one trial scores: 1 for none, M for SLM, W^(V-1) for PTS."""
     if config.method is Method.SLM:
-        return Workspace.sized((rows, config.slm_branches, samples), config.n_subcarriers)
-    return Workspace.sized((rows, samples))
+        return config.slm_branches
+    if config.method is Method.PTS:
+        return config.pts_phase_order ** (config.pts_blocks - 1)
+    return 1
 
 
 def _search(config: ExperimentConfig, partition: SubBlockPartition | None,
-            workspace: Workspace | PtsWorkspace, symbols: np.ndarray,
-            rotations: np.ndarray | None) -> tuple[np.ndarray | int, np.ndarray]:
+            symbols: np.ndarray, rotations: np.ndarray | None
+            ) -> tuple[np.ndarray | int, np.ndarray]:
     """(selected index, linear PAPR) of each trial of a chunk."""
     if config.method is Method.PTS:
         index, score, _ = pts_search(symbols, partition, config.pts_phase_order,
-                                     config.oversample, workspace)
+                                     config.oversample)
         return index, score
     if config.method is Method.SLM:
-        index, scores, _ = slm_search(symbols, rotations, config.oversample, workspace)
+        index, scores, _ = slm_search(symbols, rotations, config.oversample)
         return index, scores[np.arange(len(index)), index]
-    return 0, papr_linear(time_samples(symbols, config.oversample, workspace), workspace)
+    return 0, papr_linear(time_samples(symbols, config.oversample))
 
 
 def write_result(result: ExperimentResult, format: str, destination) -> None:

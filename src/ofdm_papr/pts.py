@@ -23,14 +23,15 @@ Selection details:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .frame import PaprSample, TimeFrame, Workspace, papr_linear, pick_min, time_samples
+from .dft import inverse_dft
+from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, pad_spectrum,
+                    papr_linear, pick_min)
 from .modulation import FrequencyFrame
 
 _ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])   # W=2 uses the first two
@@ -80,7 +81,7 @@ class PhaseVector:
         arr = np.array(self.factors, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("factors must be one-dimensional")
-        if not np.allclose(np.abs(arr), 1.0, rtol=0.0, atol=1e-12):
+        if not is_unit_magnitude(arr):
             raise ValueError("factors must have unit magnitude")
         if self.combination_index < 0:
             raise ValueError("combination_index must be non-negative")
@@ -139,71 +140,38 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     return [PhaseVector(row, i) for i, row in enumerate(_factor_matrix(w, v_count))]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class PtsWorkspace:
-    """:func:`pts_search`'s per-run state for one partition, W and L.
-
-    ``masks`` row 0 selects every subcarrier (the unmodified frame) and row
-    1 + v those of block v; ``frames.spectra`` holds the masked spectra,
-    zero wherever the mask is off.  ``candidates`` holds the W^(V-1)
-    weighted sums, then the unmodified frame, then the V block signals:
-    ``frames`` transforms into its last V+1 rows and scores its first
-    W^(V-1)+1; ``offsets`` holds where each trial's scores start in the
-    flattened scores.  Every array but ``masks`` and ``factors`` carries
-    the leading ``trials`` shape.
-    """
-
-    masks: np.ndarray
-    factors: np.ndarray
-    candidates: np.ndarray
-    frames: Workspace
-    offsets: np.ndarray
-
-    @classmethod
-    def sized(cls, partition: SubBlockPartition, w: int, oversample: int,
-              trials: tuple[int, ...] = ()) -> "PtsWorkspace":
-        v, n = partition.v_count, partition.n
-        factors = _factor_matrix(w, v)[:w ** (v - 1)]     # the orbit representatives
-        c, p = factors.shape[0], oversample * n
-        masks = np.vstack([np.ones(n, dtype=bool), partition.block_of == np.arange(v)[:, None]])
-        candidates = np.empty(trials + (c + 1 + v, p), dtype=np.complex128)
-        frames = Workspace(np.zeros(trials + (v + 1, p), dtype=np.complex128),
-                           candidates[..., c:, :], np.empty(trials + (c + 1, p)),
-                           np.empty(trials + (c + 1, p)),
-                           np.zeros(trials + (v + 1, n), dtype=np.complex128))
-        offsets = np.arange(0, math.prod(trials) * (c + 1), c + 1).reshape(trials)
-        return cls(masks, factors, candidates, frames, offsets)
-
-
-def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int,
-               workspace: PtsWorkspace | None = None
+def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array core of :func:`pts_reduce`: (combination index, linear PAPR, candidates).
 
     Takes (..., N) symbols, one trial per leading index, and returns (...)
     indices and PAPRs and the (..., W^(V-1), L*N) candidate samples, the
-    winner at the returned index.  ``workspace`` must be sized for the same
-    partition, W, L and leading shape, and the candidates are its own,
-    rewritten by the next search; without one, the call builds its own.
+    winner at the returned index.  Every returned array is fresh,
+    allocated by this call.
     """
-    ws = (workspace if workspace is not None
-          else PtsWorkspace.sized(partition, w, oversample, symbols.shape[:-1]))
-    c = ws.factors.shape[0]
-    # The unmodified frame and the V blocks, one transform each, into candidates[..., c:, :]
-    np.copyto(ws.frames.spectra, symbols[..., None, :], where=ws.masks)
-    signals = time_samples(ws.frames.spectra, oversample, ws.frames)
-    np.matmul(ws.factors, signals[..., 1:, :], out=ws.candidates[..., :c, :])  # the weighted sums
-    scores = papr_linear(ws.candidates[..., :c + 1, :], ws.frames)   # ... and the unmodified frame
+    v = partition.v_count
+    factors = _factor_matrix(w, v)[:w ** (v - 1)]     # the orbit representatives
+    c, lead = factors.shape[0], symbols.shape[:-1]
+    # One block: the C weighted sums, then the unmodified frame, then the V
+    # block signals, so that one call scores the sums and the floor frame.
+    block = np.empty(lead + (c + 1 + v, oversample * symbols.shape[-1]), dtype=np.complex128)
+    # Row 0 of the masks selects every subcarrier, row 1 + v those of block v.
+    masks = np.vstack([np.ones(partition.n, dtype=bool),
+                       partition.block_of == np.arange(v)[:, None]])
+    inverse_dft(pad_spectrum(np.where(masks, symbols[..., None, :], 0), oversample),
+                out=block[..., c:, :])
+    np.matmul(factors, block[..., c + 1:, :], out=block[..., :c, :])
+    scores = papr_linear(block[..., :c + 1, :])
     best = pick_min(scores[..., :c])
-    score = scores.take(ws.offsets + best)
+    score = scores.take(np.arange(0, scores.size, c + 1).reshape(lead) + best)
     # Rounding in the block sums can lift the all-ones candidate a few ulps
     # above the directly synthesized frame; floor at the original, row c,
     # which then takes the place of the all-ones candidate, row 0.
     floored = score > scores[..., c]
     if np.count_nonzero(floored):
-        np.copyto(ws.candidates[..., 0, :], ws.candidates[..., c, :], where=floored[..., None])
+        np.copyto(block[..., 0, :], block[..., c, :], where=floored[..., None])
         best, score = np.where(floored, 0, best), np.where(floored, scores[..., c], score)
-    return best, score, ws.candidates[..., :c, :]
+    return best, score, block[..., :c, :]
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
@@ -218,6 +186,7 @@ def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
         raise ValueError(
             f"partition over {partition.n} subcarriers does not match frame "
             f"of {freq.n_subcarriers}")
+    check_work(partition.n, oversample, w ** (partition.v_count - 1))
     best, score, candidates = pts_search(freq.symbols, partition, w, oversample)
     best = int(best)
     return PtsResult(

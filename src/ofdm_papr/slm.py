@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import PaprSample, TimeFrame, Workspace, papr_linear, pick_min, time_samples
+from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr_linear, pick_min,
+                    time_samples)
 from .modulation import FrequencyFrame
 
 PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])
@@ -31,7 +32,7 @@ class PhaseSequence:
             raise ValueError("rotations must be one-dimensional")
         if self.index < 0:
             raise ValueError("index must be non-negative")
-        if not np.allclose(np.abs(arr), 1.0, rtol=0.0, atol=1e-12):
+        if not is_unit_magnitude(arr):
             raise ValueError("rotations must have unit magnitude")
         if self.index == 0 and not np.all(arr == 1.0):
             raise ValueError("sequence 0 must be the all-ones identity")
@@ -65,22 +66,17 @@ def phase_rotations(m_count: int, n: int, rng: np.random.Generator,
     return rows
 
 
-def slm_search(symbols: np.ndarray, rotations: np.ndarray, oversample: int,
-               workspace: Workspace | None = None
+def slm_search(symbols: np.ndarray, rotations: np.ndarray, oversample: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, candidates).
 
     Takes (..., N) symbols and (..., M, N) rotations, one trial per leading
     index, and returns (...) indices, (..., M) PAPRs and the (..., M, L*N)
-    candidate samples, the winner at the selected index.  ``workspace``
-    holds (..., M, L*N) buffers and the (..., M, N) rotated spectra, and
-    the candidates are its own, rewritten by the next search; without one,
-    each step allocates its own.
+    candidate samples, the winner at the selected index.  Every returned
+    array is fresh, allocated by this call.
     """
-    spectra = np.multiply(symbols[..., None, :], rotations,
-                          out=None if workspace is None else workspace.spectra)
-    candidates = time_samples(spectra, oversample, workspace)
-    scores = papr_linear(candidates, workspace)
+    candidates = time_samples(symbols[..., None, :] * rotations, oversample)
+    scores = papr_linear(candidates)
     return pick_min(scores), scores, candidates
 
 
@@ -107,6 +103,7 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
         if s.rotations.size != freq.n_subcarriers:
             raise ValueError(
                 f"sequence length {s.rotations.size} != frame length {freq.n_subcarriers}")
+    check_work(freq.n_subcarriers, oversample, len(sequences))
     best, scores, candidates = slm_search(
         freq.symbols, np.stack([s.rotations for s in sequences]), oversample)
     return SlmResult(

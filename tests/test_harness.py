@@ -12,20 +12,23 @@ from ofdm_papr import (
     CcdfCurve,
     ExperimentConfig,
     ExperimentResult,
+    FrequencyFrame,
     Method,
     ModulationScheme,
+    PartitionScheme,
     default_threshold_grid,
+    generate_phase_sequences,
+    make_partition,
+    pts_reduce,
     run_experiment,
+    slm_reduce,
+    synthesize,
     theoretical_ccdf_slm,
     threshold_grid,
     trial_stream,
     write_result,
 )
 from ofdm_papr import harness
-from ofdm_papr.frame import Workspace, papr_linear, time_samples
-from ofdm_papr.modulation import draw_symbols
-from ofdm_papr.pts import PartitionScheme, PtsWorkspace, make_partition, pts_search
-from ofdm_papr.slm import phase_rotations, slm_search
 
 FAST_GRID = threshold_grid(0.0, 13.0, 0.5)
 
@@ -141,6 +144,21 @@ def test_work_bounds_admit_their_edge(edge):
     quick_config(**edge).validate()     # validated only: these runs are large
 
 
+@pytest.mark.parametrize("call", [
+    lambda: synthesize(FrequencyFrame(np.ones(2 ** 18)), 8),           # L*N = 2**21
+    lambda: slm_reduce(FrequencyFrame(np.ones(16)),                    # M*L*N = 17 * 2**20
+                       generate_phase_sequences(17, 16, np.random.default_rng(0)), 2 ** 16),
+    lambda: pts_reduce(FrequencyFrame(np.ones(256)),                   # W^(V-1)*L*N = 4**7 * 2**11
+                       make_partition(256, 8, PartitionScheme.ADJACENT), 4, 8),
+], ids=["synthesize", "slm_reduce", "pts_reduce"])
+def test_public_shells_bound_their_work(call):
+    # The bounds of a run hold for a lone call too: L*N <= 2**20 and at most
+    # 2**24 candidate samples.  Each call is one step past a bound and must
+    # fail before it allocates the frame or the candidate block.
+    with pytest.raises(ValueError, match="exceed"):
+        call()
+
+
 def test_trial_streams_are_purpose_separated():
     a = trial_stream(5, 0, 7).integers(0, 1 << 30, 4)
     b = trial_stream(5, 1, 7).integers(0, 1 << 30, 4)
@@ -235,41 +253,6 @@ def test_config_replace_keeps_validation():
 @pytest.mark.parametrize("modulation", list(ModulationScheme))
 @pytest.mark.parametrize("oversample", [1, 2, 8])
 @pytest.mark.parametrize("method", list(Method))
-def test_a_reused_workspace_carries_nothing_between_trials(method, oversample, modulation):
-    # run_experiment sizes one workspace per run.  A frame searched right
-    # after another one must get, bit for bit, what a fresh workspace gives.
-    n, m, v, w = 16, 4, 4, 4
-    rng = np.random.default_rng(8)
-    partition = make_partition(n, v, PartitionScheme.PSEUDO_RANDOM, rng)
-    frames = [(np.ones(n, dtype=np.complex128), phase_rotations(m, n, rng)),
-              (draw_symbols(n, modulation, rng), phase_rotations(m, n, rng))]
-
-    def workspace():
-        if method is Method.PTS:
-            return PtsWorkspace.sized(partition, w, oversample)
-        return Workspace.sized(((m,) if method is Method.SLM else ()) + (oversample * n,))
-
-    def search(symbols, rotations, ws):
-        if method is Method.NONE:
-            samples = time_samples(symbols, oversample, ws)
-            return 0, papr_linear(samples, ws), samples.copy()
-        if method is Method.SLM:
-            index, scores, samples = slm_search(symbols, rotations, oversample, ws)
-            return index, scores[index], samples
-        return pts_search(symbols, partition, w, oversample, ws)
-
-    reused = workspace()
-    search(*frames[0], reused)
-    index, score, samples = search(*frames[1], reused)
-    fresh_index, fresh_score, fresh_samples = search(*frames[1], workspace())
-    assert index == fresh_index
-    assert np.float64(score).tobytes() == np.float64(fresh_score).tobytes()
-    assert samples.tobytes() == fresh_samples.tobytes()
-
-
-@pytest.mark.parametrize("modulation", list(ModulationScheme))
-@pytest.mark.parametrize("oversample", [1, 2, 8])
-@pytest.mark.parametrize("method", list(Method))
 def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulation):
     # run_experiment searches its trials in chunks of T, sized from a
     # private budget of candidate samples.  One trial per chunk, a T that
@@ -282,9 +265,9 @@ def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulat
     candidates = {Method.NONE: 1, Method.SLM: 4, Method.PTS: 2 ** 3}[method]
     search, chunks = harness._search, []
 
-    def counted(config, partition, workspace, symbols, rotations):
+    def counted(config, partition, symbols, rotations):
         chunks.append(len(symbols))
-        return search(config, partition, workspace, symbols, rotations)
+        return search(config, partition, symbols, rotations)
 
     monkeypatch.setattr(harness, "_search", counted)
     default = run_experiment(config)

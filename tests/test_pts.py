@@ -109,6 +109,9 @@ def test_unsupported_phase_order_rejected():
 def test_phase_vector_validation():
     with pytest.raises(ValueError, match="unit magnitude"):
         PhaseVector([1, 2], 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit magnitude"):
+            PhaseVector([1, bad], 0)
 
 
 def test_single_block_reduces_to_global_rotation():

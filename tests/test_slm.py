@@ -60,6 +60,9 @@ def test_sequence_count_must_be_positive():
 def test_phase_sequence_validation():
     with pytest.raises(ValueError, match="unit magnitude"):
         PhaseSequence([1, 0.5], 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit magnitude"):
+            PhaseSequence([1, bad], 1)
     with pytest.raises(ValueError, match="identity"):
         PhaseSequence([1, -1], 0)
 
