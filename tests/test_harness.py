@@ -29,6 +29,10 @@ from ofdm_papr import (
     write_result,
 )
 from ofdm_papr import harness
+from ofdm_papr.frame import papr_linear, time_samples
+from ofdm_papr.modulation import draw_symbols
+from ofdm_papr.pts import pts_search
+from ofdm_papr.slm import phase_rotations, slm_search
 
 FAST_GRID = threshold_grid(0.0, 13.0, 0.5)
 
@@ -248,6 +252,40 @@ def test_config_replace_keeps_validation():
     config = quick_config()
     with pytest.raises(ValueError, match="divide"):
         run_experiment(replace(config, pts_blocks=7))
+
+
+@pytest.mark.parametrize("modulation", list(ModulationScheme))
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+@pytest.mark.parametrize("method", list(Method))
+def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modulation):
+    # The cores search a chunk of trials in one call.  Each row must get, bit
+    # for bit, what a chunk of that row alone gives: index, PAPR and samples.
+    n, m, v, w, trials = 16, 4, 4, 2, 128
+    rng = np.random.default_rng(8)
+    partition = make_partition(n, v, PartitionScheme.PSEUDO_RANDOM, rng)
+    symbols = np.stack([draw_symbols(n, modulation, rng) for _ in range(trials)])
+    rotations = np.stack([phase_rotations(m, n, rng) for _ in range(trials)])
+
+    def search(rows):
+        if method is Method.NONE:
+            samples = time_samples(symbols[rows], oversample)
+            return np.zeros(len(samples), dtype=np.int64), papr_linear(samples), samples
+        if method is Method.SLM:
+            index, scores, samples = slm_search(symbols[rows], rotations[rows], oversample)
+            return index, scores[np.arange(len(index)), index], samples
+        return pts_search(symbols[rows], partition, w, oversample)
+
+    chunk = search(slice(None))
+    for row in range(trials):
+        alone = search(slice(row, row + 1))
+        for together, by_itself in zip(chunk, alone):
+            assert together[row].tobytes() == by_itself[0].tobytes()
+    if method is Method.PTS:
+        # The chunk mixes rows that take the floor, whose winner is the
+        # directly synthesized frame, with rows that do not.
+        index, _, samples = chunk
+        floored = (index == 0) & (samples[:, 0] == time_samples(symbols, oversample)).all(axis=-1)
+        assert 0 < np.count_nonzero(floored) < trials
 
 
 @pytest.mark.parametrize("modulation", list(ModulationScheme))
