@@ -32,17 +32,16 @@ def _checked(values, name: str) -> np.ndarray:
     return arr
 
 
-def inverse_dft(freq, out: np.ndarray | None = None) -> np.ndarray:
+def inverse_dft(freq) -> np.ndarray:
     """Frequency-domain symbols to time samples, x_n = (1/sqrt(P)) sum_k X_k e^{+j2pi nk/P}.
 
     Args:
         freq: array-like of shape (..., P) with P a power of two.
-        out: optional complex128 array of the same shape to write into.
 
     Returns:
-        complex128 array of the same shape (``out`` when given).
+        complex128 array of the same shape.
     """
-    return np.fft.ifft(_checked(freq, "freq"), norm="ortho", out=out)
+    return np.fft.ifft(_checked(freq, "freq"), norm="ortho")
 
 
 def forward_dft(time) -> np.ndarray:

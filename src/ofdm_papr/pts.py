@@ -29,9 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dft import inverse_dft
-from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, pad_spectrum,
-                    papr_linear, pick_min)
+from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr_linear, pick_min,
+                    time_samples)
 from .modulation import FrequencyFrame
 
 _ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])   # W=2 uses the first two
@@ -134,6 +133,15 @@ def _factor_matrix(w: int, v_count: int) -> np.ndarray:
     return factors
 
 
+@lru_cache(maxsize=16)
+def _block_masks(partition: SubBlockPartition) -> np.ndarray:
+    """(1 + V, N) subcarrier masks: row 0 selects all of them, row 1 + v those of block v."""
+    masks = np.vstack([np.ones(partition.n, dtype=bool),
+                       partition.block_of == np.arange(partition.v_count)[:, None]])
+    masks.flags.writeable = False
+    return masks
+
+
 def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     """All W^V weighting vectors, lexicographic over per-position alphabet
     indices; the alphabet is {+1,-1} for W=2 and {+1,-1,+j,-j} for W=4."""
@@ -151,19 +159,17 @@ def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
     """
     v = partition.v_count
     factors = _factor_matrix(w, v)[:w ** (v - 1)]     # the orbit representatives
-    c, lead = factors.shape[0], symbols.shape[:-1]
-    # One block: the C weighted sums, then the unmodified frame, then the V
-    # block signals, so that one call scores the sums and the floor frame.
-    block = np.empty(lead + (c + 1 + v, oversample * symbols.shape[-1]), dtype=np.complex128)
-    # Row 0 of the masks selects every subcarrier, row 1 + v those of block v.
-    masks = np.vstack([np.ones(partition.n, dtype=bool),
-                       partition.block_of == np.arange(v)[:, None]])
-    inverse_dft(pad_spectrum(np.where(masks, symbols[..., None, :], 0), oversample),
-                out=block[..., c:, :])
-    np.matmul(factors, block[..., c + 1:, :], out=block[..., :c, :])
-    scores = papr_linear(block[..., :c + 1, :])
+    c = factors.shape[0]
+    # The unmodified frame, then the V block signals.
+    signals = time_samples(np.where(_block_masks(partition), symbols[..., None, :], 0),
+                           oversample)
+    # The C weighted sums, then the unmodified frame: one call scores both.
+    block = np.empty(signals.shape[:-2] + (c + 1, signals.shape[-1]), dtype=np.complex128)
+    np.matmul(factors, signals[..., 1:, :], out=block[..., :c, :])
+    block[..., c, :] = signals[..., 0, :]
+    scores = papr_linear(block)
     best = pick_min(scores[..., :c])
-    score = scores.take(np.arange(0, scores.size, c + 1).reshape(lead) + best)
+    score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
     # Rounding in the block sums can lift the all-ones candidate a few ulps
     # above the directly synthesized frame; floor at the original, row c,
     # which then takes the place of the all-ones candidate, row 0.
