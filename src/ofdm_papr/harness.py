@@ -11,7 +11,10 @@ the same master seed consume identical per-trial data frames.
 Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
-results are also chunk-independent: the chunk size changes no byte.
+results are also chunk-independent: the chunk size changes no byte.  Two
+searches cover the three methods: PTS runs ``pts_search``, and SLM runs
+``slm_search``, whose candidate 0 is the unmodified frame; a run without
+reduction is SLM with that identity candidate alone.
 
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
@@ -31,12 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from .dft import is_power_of_two
-from .frame import check_work, papr_linear, time_samples
+from .frame import check_work
 from .modulation import ModulationScheme, draw_symbols
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, SubBlockPartition, make_partition, pts_search
+from .pts import PartitionScheme, make_partition, pts_search
 from .slm import phase_rotations, slm_search
 from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
 
@@ -68,8 +71,10 @@ def threshold_grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise ValueError("threshold step must be positive")
     if hi < lo:
         raise ValueError("threshold range must be non-empty")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    steps = np.floor((hi - lo) / step + 1e-9)
+    if not steps < 2 ** 20:
+        raise ValueError("threshold grid has more than 2**20 points")
+    return lo + step * np.arange(int(steps) + 1)
 
 
 def trial_stream(master_seed: int, purpose: int, trial: int | None = None) -> np.random.Generator:
@@ -166,30 +171,36 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
                                    trial_stream(seed, _STREAM_PARTITION))
     rows = max(1, min(config.trials, _CHUNK_SAMPLES // (_candidates(config) * oversample * n)))
 
-    # One set of chunk rows for the whole run: the chunks reuse them.
+    # One set of chunk rows for the whole run: the chunks reuse them.  SLM's
+    # candidate 0 is the unmodified frame, so none searches that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
-    rotations = (np.empty((rows, m, n), dtype=np.complex128)
-                 if config.method is Method.SLM else None)
+    rotations = (None if config.method is Method.PTS
+                 else np.ones((rows, _candidates(config), n), dtype=np.complex128))
     linear = np.empty(config.trials, dtype=np.float64)
     side_info = np.zeros(config.trials, dtype=np.int64)
     for start in range(0, config.trials, rows):
         stop = min(start + rows, config.trials)
         for i, t in enumerate(range(start, stop)):
-            draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t),
-                         out=symbols[i])
-            if rotations is not None:
-                phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t), out=rotations[i])
-        side_info[start:stop], linear[start:stop] = _search(
-            config, partition, symbols[:stop - start],
-            None if rotations is None else rotations[:stop - start])
+            symbols[i] = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
+            if config.method is Method.SLM:
+                rotations[i] = phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t))
+        # [:2] frees the candidate block now: held across the next chunk's
+        # draws, it made every SLM trial page-fault.
+        if config.method is Method.PTS:
+            side_info[start:stop], linear[start:stop] = pts_search(
+                symbols[:stop - start], partition, config.pts_phase_order, oversample)[:2]
+        else:
+            index, scores = slm_search(symbols[:stop - start], rotations[:stop - start],
+                                       oversample)[:2]
+            side_info[start:stop] = index
+            linear[start:stop] = scores[np.arange(stop - start), index]
     # PaprSample.db's expression: np.log10 can be an ulp away from it.
     samples_db = np.array([10.0 * math.log10(score) for score in linear.tolist()])
 
     empirical = empirical_ccdf(samples_db, config.thresholds_db)
     analytic_curve = None
     if analytic and config.method is not Method.PTS:
-        branches = config.slm_branches if config.method is Method.SLM else 1
-        analytic_curve = theoretical_curve(n, config.thresholds_db, branches)
+        analytic_curve = theoretical_curve(n, config.thresholds_db, _candidates(config))
 
     return ExperimentResult(
         config=config,
@@ -208,20 +219,6 @@ def _candidates(config: ExperimentConfig) -> int:
     if config.method is Method.PTS:
         return config.pts_phase_order ** (config.pts_blocks - 1)
     return 1
-
-
-def _search(config: ExperimentConfig, partition: SubBlockPartition | None,
-            symbols: np.ndarray, rotations: np.ndarray | None
-            ) -> tuple[np.ndarray | int, np.ndarray]:
-    """(selected index, linear PAPR) of each trial of a chunk."""
-    if config.method is Method.PTS:
-        index, score, _ = pts_search(symbols, partition, config.pts_phase_order,
-                                     config.oversample)
-        return index, score
-    if config.method is Method.SLM:
-        index, scores, _ = slm_search(symbols, rotations, config.oversample)
-        return index, scores[np.arange(len(index)), index]
-    return 0, papr_linear(time_samples(symbols, config.oversample))
 
 
 def write_result(result: ExperimentResult, format: str, destination) -> None:

@@ -50,19 +50,14 @@ class SlmResult:
     all_paprs: list[PaprSample]
 
 
-def phase_rotations(m_count: int, n: int, rng: np.random.Generator,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Array core of :func:`generate_phase_sequences`: all-ones row 0, then drawn rows.
 
     One draw of (M-1, N) alphabet indices; it yields the same rotations as
-    M-1 draws of N, one row at a time, from the same stream.  Written into
-    ``out`` (an (M, N) complex128 array) when given.
+    M-1 draws of N, one row at a time, from the same stream.
     """
-    rows = np.empty((m_count, n), dtype=np.complex128) if out is None else out
-    rows[0] = 1.0
-    # In-range indices: "clip" spares the copy of ``out`` that "raise" makes.
-    PHASE_ALPHABET.take(rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n)),
-                        out=rows[1:], mode="clip")
+    rows = np.ones((m_count, n), dtype=np.complex128)
+    rows[1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n))]
     return rows
 
 
@@ -99,6 +94,8 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
     """
     if not sequences:
         raise ValueError("at least one phase sequence is required")
+    if any(s.index != i for i, s in enumerate(sequences)):
+        raise ValueError("sequence i must carry index i, the identity first")
     for s in sequences:
         if s.rotations.size != freq.n_subcarriers:
             raise ValueError(

@@ -74,6 +74,7 @@ def test_divisibility_validation(tmp_path):
     ["--compare", "slm"],  # --compare requires --out
     ["--thresholds", "0:inf:1"],
     ["--thresholds", "0:1:inf"],
+    ["--thresholds", "0:13:1e-15"],
     ["--n", "2097152", "--oversample", "1"],
     ["--trials", "100000001"],
     ["--method", "slm", "--slm-m", "1000000"],

@@ -29,7 +29,7 @@ from ofdm_papr import (
     write_result,
 )
 from ofdm_papr import harness
-from ofdm_papr.frame import papr_linear, time_samples
+from ofdm_papr.frame import time_samples
 from ofdm_papr.modulation import draw_symbols
 from ofdm_papr.pts import pts_search
 from ofdm_papr.slm import phase_rotations, slm_search
@@ -181,6 +181,12 @@ def test_default_threshold_grid_shape():
     assert np.allclose(np.diff(grid), 0.05)
 
 
+def test_threshold_grid_size_is_bounded():
+    assert threshold_grid(0.0, 2.0 ** 20 - 1, 1.0).size == 2 ** 20
+    with pytest.raises(ValueError, match="2\\*\\*20"):
+        threshold_grid(0.0, 2.0 ** 20, 1.0)
+
+
 def _dummy_result(analytic=None):
     curve = CcdfCurve(np.array([6.0, 9.0]), np.array([0.5, 0.01]), sample_count=2)
     config = quick_config(trials=2, thresholds_db=np.array([6.0, 9.0]))
@@ -265,15 +271,14 @@ def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modula
     partition = make_partition(n, v, PartitionScheme.PSEUDO_RANDOM, rng)
     symbols = np.stack([draw_symbols(n, modulation, rng) for _ in range(trials)])
     rotations = np.stack([phase_rotations(m, n, rng) for _ in range(trials)])
+    if method is Method.NONE:
+        rotations = np.ones((trials, 1, n), dtype=np.complex128)   # the identity alone
 
     def search(rows):
-        if method is Method.NONE:
-            samples = time_samples(symbols[rows], oversample)
-            return np.zeros(len(samples), dtype=np.int64), papr_linear(samples), samples
-        if method is Method.SLM:
-            index, scores, samples = slm_search(symbols[rows], rotations[rows], oversample)
-            return index, scores[np.arange(len(index)), index], samples
-        return pts_search(symbols[rows], partition, w, oversample)
+        if method is Method.PTS:
+            return pts_search(symbols[rows], partition, w, oversample)
+        index, scores, samples = slm_search(symbols[rows], rotations[rows], oversample)
+        return index, scores[np.arange(len(index)), index], samples
 
     chunk = search(slice(None))
     for row in range(trials):
@@ -301,13 +306,13 @@ def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulat
                           modulation=modulation, trials=trials, slm_branches=4,
                           pts_blocks=4, pts_phase_order=2)
     candidates = {Method.NONE: 1, Method.SLM: 4, Method.PTS: 2 ** 3}[method]
-    search, chunks = harness._search, []
+    chunks = []
+    for name in ("slm_search", "pts_search"):
+        def counted(symbols, *args, core=getattr(harness, name)):
+            chunks.append(len(symbols))
+            return core(symbols, *args)
 
-    def counted(config, partition, symbols, rotations):
-        chunks.append(len(symbols))
-        return search(config, partition, symbols, rotations)
-
-    monkeypatch.setattr(harness, "_search", counted)
+        monkeypatch.setattr(harness, name, counted)
     default = run_experiment(config)
     assert sum(chunks) == trials
     for rows, sizes in ((1, [1] * trials), (5, [5, 5, 5, 5, 3])):

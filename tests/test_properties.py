@@ -8,6 +8,8 @@ drifting apart, and hold the run path to its guarantees:
   rebuilt from the trial's streams through the public functions, in any
   trial order;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
+* a run without reduction gives the bytes of SLM with the identity
+  candidate alone (M=1);
 * a K-trial run is the first K trials of a longer run;
 * every row of a batched transform equals, bit for bit, that row
   transformed alone, whatever the batch shape and memory layout (the
@@ -121,6 +123,15 @@ def test_never_worse_than_the_unmodified_frame(config):
     result = run_experiment(config)
     unmodified = run_experiment(replace(config, method=Method.NONE))
     assert np.all(result.samples_db <= unmodified.samples_db)
+
+
+@SETTINGS
+@given(configs())
+def test_no_reduction_is_slm_with_the_identity_alone(config):
+    none = run_experiment(replace(config, method=Method.NONE))
+    slm = run_experiment(replace(config, method=Method.SLM, slm_branches=1))
+    assert none.samples_db.tobytes() == slm.samples_db.tobytes()
+    assert none.side_info.tobytes() == slm.side_info.tobytes()
 
 
 @SETTINGS

@@ -134,3 +134,13 @@ def test_length_mismatch_rejected():
         slm_reduce(freq, seqs, 1)
     with pytest.raises(ValueError, match="at least one"):
         slm_reduce(freq, [], 1)
+
+
+def test_identity_must_come_first():
+    # selected_index is the list position, and the never-worse promise
+    # rests on the identity at position 0.
+    freq = random_frame(16, QPSK, np.random.default_rng(15))
+    seqs = generate_phase_sequences(4, 16, np.random.default_rng(16))
+    for bad in (seqs[1:], seqs[::-1], [seqs[0], seqs[2]]):
+        with pytest.raises(ValueError, match="index"):
+            slm_reduce(freq, bad, 2)
