@@ -11,10 +11,10 @@ the same master seed consume identical per-trial data frames.
 Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
-results are also chunk-independent: the chunk size changes no byte.  Two
-searches cover the three methods: PTS runs ``pts_search``, and SLM runs
-``slm_search``, whose candidate 0 is the unmodified frame; a run without
-reduction is SLM with that identity candidate alone.
+results are also chunk-independent: the chunk size changes no byte.  The
+methods differ only in the block that ``slm_candidates`` or ``pts_candidates``
+builds, whose row 0 is the unmodified frame, and share one scoring and pick;
+a run without reduction is SLM with that identity candidate alone.
 
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
@@ -34,13 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .dft import is_power_of_two
-from .frame import check_work
+from .frame import check_work, papr_linear, pick_min
 from .modulation import ModulationScheme, draw_symbols
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, make_partition, pts_search
-from .slm import phase_rotations, slm_search
+from .pts import PartitionScheme, make_partition, pts_candidates
+from .slm import phase_rotations, slm_candidates
 from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
 
 _STREAM_FRAME = 0
@@ -184,16 +184,14 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
             symbols[i] = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
             if config.method is Method.SLM:
                 rotations[i] = phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t))
-        # [:2] frees the candidate block now: held across the next chunk's
-        # draws, it made every SLM trial page-fault.
-        if config.method is Method.PTS:
-            side_info[start:stop], linear[start:stop] = pts_search(
-                symbols[:stop - start], partition, config.pts_phase_order, oversample)[:2]
-        else:
-            index, scores = slm_search(symbols[:stop - start], rotations[:stop - start],
-                                       oversample)[:2]
-            side_info[start:stop] = index
-            linear[start:stop] = scores[np.arange(stop - start), index]
+        # Nothing holds the candidate block past its scoring: held across the
+        # next chunk's draws, it made every SLM trial page-fault.
+        scores = papr_linear(
+            pts_candidates(symbols[:stop - start], partition, config.pts_phase_order, oversample)
+            if config.method is Method.PTS
+            else slm_candidates(symbols[:stop - start], rotations[:stop - start], oversample))
+        side_info[start:stop] = index = pick_min(scores)
+        linear[start:stop] = scores[np.arange(stop - start), index]
     # PaprSample.db's expression: np.log10 can be an ulp away from it.
     samples_db = np.array([10.0 * math.log10(score) for score in linear.tolist()])
 

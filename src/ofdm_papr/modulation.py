@@ -10,9 +10,10 @@ import numpy as np
 from .dft import is_power_of_two
 
 # Gray-ordered QPSK: adjacent bit pairs map to neighbouring 90-degree points.
-# Indexed by the natural binary value of the bit group.
+# Indexed by the natural binary value of the bit group.  No part is -0.0 (as
+# in -1.0j), so the identity rotation 1+0j leaves every symbol bit for bit.
 _BPSK_TABLE = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-_QPSK_TABLE = np.array([1.0 + 0.0j, 1.0j, -1.0j, -1.0 + 0.0j])  # 00,01,10,11
+_QPSK_TABLE = np.array([1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j, -1.0 + 0.0j])  # 00,01,10,11
 
 
 class ModulationScheme(Enum):
@@ -36,7 +37,7 @@ class FrequencyFrame:
     """One OFDM symbol in the frequency domain: N complex subcarrier symbols.
 
     Immutable; `symbols` is a read-only complex128 array of power-of-two
-    length.
+    length, finite and not all zero.
     """
 
     symbols: np.ndarray
@@ -49,6 +50,8 @@ class FrequencyFrame:
             raise ValueError(f"frame length {arr.size} is not a power of two")
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("symbols contain non-finite values")
+        if not arr.any():
+            raise ValueError("all-zero frame has undefined PAPR")
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
 

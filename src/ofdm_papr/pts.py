@@ -15,10 +15,10 @@ Selection details:
   broken toward the lowest index within the 1e-12 relative window of
   :func:`~ofdm_papr.frame.pick_min` the pick, index included, equals the
   exhaustive W^V search's.
-* The all-ones combination reproduces the original frame only up to
-  floating-point rounding of the block sums, so the original frame is
-  scored directly as a floor: the result can never be worse than the
-  unmodified frame, exactly.
+* Candidate 0, the all-ones combination, is the unmodified frame
+  synthesized directly rather than as a sum of block signals, whose
+  rounding could lift it a few ulps: the result can never be worse than
+  the unmodified frame, exactly.
 """
 
 from __future__ import annotations
@@ -148,36 +148,24 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     return [PhaseVector(row, i) for i, row in enumerate(_factor_matrix(w, v_count))]
 
 
-def pts_search(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array core of :func:`pts_reduce`: (combination index, linear PAPR, candidates).
+def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
+                   oversample: int) -> np.ndarray:
+    """Array core of :func:`pts_reduce`: the (..., W^(V-1), L*N) candidate block.
 
-    Takes (..., N) symbols, one trial per leading index, and returns (...)
-    indices and PAPRs and the (..., W^(V-1), L*N) candidate samples, the
-    winner at the returned index.  Every returned array is fresh,
+    Takes (..., N) symbols, one trial per leading index.  Row 0 is the
+    unmodified frame, synthesized directly; row i is the weighted sum of
+    the block signals under orbit representative i.  The block is fresh,
     allocated by this call.
     """
     v = partition.v_count
-    factors = _factor_matrix(w, v)[:w ** (v - 1)]     # the orbit representatives
-    c = factors.shape[0]
+    c = w ** (v - 1)                                   # the orbit representatives
     # The unmodified frame, then the V block signals.
     signals = time_samples(np.where(_block_masks(partition), symbols[..., None, :], 0),
                            oversample)
-    # The C weighted sums, then the unmodified frame: one call scores both.
-    block = np.empty(signals.shape[:-2] + (c + 1, signals.shape[-1]), dtype=np.complex128)
-    np.matmul(factors, signals[..., 1:, :], out=block[..., :c, :])
-    block[..., c, :] = signals[..., 0, :]
-    scores = papr_linear(block)
-    best = pick_min(scores[..., :c])
-    score = np.take_along_axis(scores, best[..., None], axis=-1)[..., 0]
-    # Rounding in the block sums can lift the all-ones candidate a few ulps
-    # above the directly synthesized frame; floor at the original, row c,
-    # which then takes the place of the all-ones candidate, row 0.
-    floored = score > scores[..., c]
-    if np.count_nonzero(floored):
-        np.copyto(block[..., 0, :], block[..., c, :], where=floored[..., None])
-        best, score = np.where(floored, 0, best), np.where(floored, scores[..., c], score)
-    return best, score, block[..., :c, :]
+    block = np.empty(signals.shape[:-2] + (c, signals.shape[-1]), dtype=np.complex128)
+    block[..., 0, :] = signals[..., 0, :]
+    np.matmul(_factor_matrix(w, v)[1:c], signals[..., 1:, :], out=block[..., 1:, :])
+    return block
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
@@ -193,11 +181,12 @@ def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
             f"partition over {partition.n} subcarriers does not match frame "
             f"of {freq.n_subcarriers}")
     check_work(partition.n, oversample, w ** (partition.v_count - 1))
-    best, score, candidates = pts_search(freq.symbols, partition, w, oversample)
-    best = int(best)
+    candidates = pts_candidates(freq.symbols, partition, w, oversample)
+    scores = papr_linear(candidates)
+    best = int(pick_min(scores))
     return PtsResult(
         frame=TimeFrame(candidates[best], oversample),
         chosen=PhaseVector(_factor_matrix(w, partition.v_count)[best], best),
-        papr=PaprSample.from_linear(score),
+        papr=PaprSample.from_linear(scores[best]),
         combinations_searched=w ** (partition.v_count - 1),
     )

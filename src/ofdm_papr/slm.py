@@ -61,18 +61,14 @@ def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarra
     return rows
 
 
-def slm_search(symbols: np.ndarray, rotations: np.ndarray, oversample: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array core of :func:`slm_reduce`: (selected index, linear PAPRs, candidates).
+def slm_candidates(symbols: np.ndarray, rotations: np.ndarray, oversample: int) -> np.ndarray:
+    """Array core of :func:`slm_reduce`: the (..., M, L*N) candidate block.
 
     Takes (..., N) symbols and (..., M, N) rotations, one trial per leading
-    index, and returns (...) indices, (..., M) PAPRs and the (..., M, L*N)
-    candidate samples, the winner at the selected index.  Every returned
-    array is fresh, allocated by this call.
+    index; with the identity rotation first, row 0 is the unmodified frame.
+    The block is fresh, allocated by this call.
     """
-    candidates = time_samples(symbols[..., None, :] * rotations, oversample)
-    scores = papr_linear(candidates)
-    return pick_min(scores), scores, candidates
+    return time_samples(symbols[..., None, :] * rotations, oversample)
 
 
 def generate_phase_sequences(m_count: int, n: int,
@@ -101,8 +97,10 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
             raise ValueError(
                 f"sequence length {s.rotations.size} != frame length {freq.n_subcarriers}")
     check_work(freq.n_subcarriers, oversample, len(sequences))
-    best, scores, candidates = slm_search(
-        freq.symbols, np.stack([s.rotations for s in sequences]), oversample)
+    candidates = slm_candidates(freq.symbols, np.stack([s.rotations for s in sequences]),
+                                oversample)
+    scores = papr_linear(candidates)
+    best = pick_min(scores)
     return SlmResult(
         frame=TimeFrame(candidates[best], oversample),
         selected_index=int(best),

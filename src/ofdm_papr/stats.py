@@ -67,6 +67,8 @@ def empirical_ccdf(samples_db, thresholds_db) -> CcdfCurve:
     samples = np.asarray(samples_db, dtype=np.float64).ravel()
     if samples.size == 0:
         raise ValueError("at least one sample is required")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     grid = np.asarray(thresholds_db, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise ValueError("thresholds must be a non-empty strictly ascending 1-D grid")
@@ -84,7 +86,7 @@ def theoretical_ccdf_original(n: int, z_linear) -> float | np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     z = np.asarray(z_linear, dtype=np.float64)
-    if np.any(z <= 0):
+    if not np.all(z > 0):
         raise ValueError("threshold must be positive")
     out = -np.expm1(n * np.log1p(-np.exp(-z)))
     return float(out) if np.isscalar(z_linear) else out

@@ -37,18 +37,18 @@ DIGESTS = {
     "slm-L1-qpsk": ("113ffae06ccc4d63", "ef2dc77c549b57ff", "b28b9274534eba2b"),
     "slm-L8-bpsk": ("9e0f778e82a127b8", "4aaeb057e505b06e", "d2d691ed3c5a720b"),
     "slm-L8-qpsk": ("8de584fbbf0e78fb", "fbf4aee051dd64ef", "f8b6a4e5aa58468c"),
-    "pts-L1-bpsk-adjacent": ("765838a0917bcf2b", "311940f2abe38229", "b78eb6a702cc32d3"),
-    "pts-L1-bpsk-interleaved": ("72d19d74ef306d67", "7d8ca913eec22584", "f229e033343e9994"),
-    "pts-L1-bpsk-pseudorandom": ("94254cb94d05815c", "decdf022b4a87c54", "a426aeb2f2e0ccee"),
+    "pts-L1-bpsk-adjacent": ("61641117b5ac39a3", "311940f2abe38229", "b78eb6a702cc32d3"),
+    "pts-L1-bpsk-interleaved": ("eca980ca36943007", "7d8ca913eec22584", "f229e033343e9994"),
+    "pts-L1-bpsk-pseudorandom": ("2488e3abc81d53be", "decdf022b4a87c54", "a426aeb2f2e0ccee"),
     "pts-L1-qpsk-adjacent": ("0c9829d620000e5c", "153bde28b630120c", "4766c8798b92719e"),
     "pts-L1-qpsk-interleaved": ("7e59890d0f1f46e0", "7627e296fc588f0e", "6b28daac9db9d99f"),
     "pts-L1-qpsk-pseudorandom": ("fc5766836702fc67", "0798bba7f2f9b107", "ff87f72f9cbacdfc"),
-    "pts-L8-bpsk-adjacent": ("325b9cbfd4163427", "274cd343c3c57bef", "b2de7ea810091c37"),
-    "pts-L8-bpsk-interleaved": ("1895d1c760cbbfd0", "e9729f9541592f4b", "98f52d65270baab2"),
-    "pts-L8-bpsk-pseudorandom": ("a4f337c043c7e987", "d33330ec95b57429", "d17d61304bc2b080"),
-    "pts-L8-qpsk-adjacent": ("66293dbf23d776a0", "7e884348d7141548", "73737959818dcb99"),
+    "pts-L8-bpsk-adjacent": ("fb2807aa602440d3", "274cd343c3c57bef", "b2de7ea810091c37"),
+    "pts-L8-bpsk-interleaved": ("65e6c8aa55bad47c", "e9729f9541592f4b", "98f52d65270baab2"),
+    "pts-L8-bpsk-pseudorandom": ("ad6c7295dec73cbf", "d33330ec95b57429", "d17d61304bc2b080"),
+    "pts-L8-qpsk-adjacent": ("f0c989fe36c81e20", "7e884348d7141548", "73737959818dcb99"),
     "pts-L8-qpsk-interleaved": ("926d5338e7d11ddb", "dbf0e86a32f62311", "6e951e1155333f8d"),
-    "pts-L8-qpsk-pseudorandom": ("7c02f8ab9c15deba", "f87fa727544541ef", "55a3e9e8a6d8e1e8"),
+    "pts-L8-qpsk-pseudorandom": ("3f7a6bfd80124655", "f87fa727544541ef", "55a3e9e8a6d8e1e8"),
 }
 
 

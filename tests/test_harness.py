@@ -29,10 +29,10 @@ from ofdm_papr import (
     write_result,
 )
 from ofdm_papr import harness
-from ofdm_papr.frame import time_samples
+from ofdm_papr.frame import papr_linear, pick_min
 from ofdm_papr.modulation import draw_symbols
-from ofdm_papr.pts import pts_search
-from ofdm_papr.slm import phase_rotations, slm_search
+from ofdm_papr.pts import pts_candidates
+from ofdm_papr.slm import phase_rotations, slm_candidates
 
 FAST_GRID = threshold_grid(0.0, 13.0, 0.5)
 
@@ -275,22 +275,21 @@ def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modula
         rotations = np.ones((trials, 1, n), dtype=np.complex128)   # the identity alone
 
     def search(rows):
-        if method is Method.PTS:
-            return pts_search(symbols[rows], partition, w, oversample)
-        index, scores, samples = slm_search(symbols[rows], rotations[rows], oversample)
-        return index, scores[np.arange(len(index)), index], samples
+        block = (pts_candidates(symbols[rows], partition, w, oversample)
+                 if method is Method.PTS
+                 else slm_candidates(symbols[rows], rotations[rows], oversample))
+        scores = papr_linear(block)
+        return pick_min(scores), scores, block
 
     chunk = search(slice(None))
     for row in range(trials):
         alone = search(slice(row, row + 1))
         for together, by_itself in zip(chunk, alone):
             assert together[row].tobytes() == by_itself[0].tobytes()
-    if method is Method.PTS:
-        # The chunk mixes rows that take the floor, whose winner is the
-        # directly synthesized frame, with rows that do not.
-        index, _, samples = chunk
-        floored = (index == 0) & (samples[:, 0] == time_samples(symbols, oversample)).all(axis=-1)
-        assert 0 < np.count_nonzero(floored) < trials
+    if method is not Method.NONE:
+        # The chunk mixes rows whose winner is row 0, the unmodified frame,
+        # with rows whose winner is not.
+        assert 0 < np.count_nonzero(chunk[0] == 0) < trials
 
 
 @pytest.mark.parametrize("modulation", list(ModulationScheme))
@@ -307,12 +306,12 @@ def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulat
                           pts_blocks=4, pts_phase_order=2)
     candidates = {Method.NONE: 1, Method.SLM: 4, Method.PTS: 2 ** 3}[method]
     chunks = []
-    for name in ("slm_search", "pts_search"):
-        def counted(symbols, *args, core=getattr(harness, name)):
-            chunks.append(len(symbols))
-            return core(symbols, *args)
 
-        monkeypatch.setattr(harness, name, counted)
+    def counted(block, score=harness.papr_linear):
+        chunks.append(len(block))
+        return score(block)
+
+    monkeypatch.setattr(harness, "papr_linear", counted)
     default = run_experiment(config)
     assert sum(chunks) == trials
     for rows, sizes in ((1, [1] * trials), (5, [5, 5, 5, 5, 3])):

@@ -79,6 +79,8 @@ def test_frequency_frame_validation():
         FrequencyFrame([1, 1, 1])
     with pytest.raises(ValueError, match="finite"):
         FrequencyFrame([1, np.nan, 1, 1])
+    with pytest.raises(ValueError, match="undefined PAPR"):
+        FrequencyFrame(np.zeros(8))
 
 
 def test_frequency_frame_immutable():

@@ -17,6 +17,9 @@ drifting apart, and hold the run path to its guarantees:
 * candidates that tie in exact arithmetic resolve to the lowest index;
 * the row-wise pick of a (..., C) score batch equals, row by row, the pick
   of that row alone, ties inside the 1e-12 window included;
+* row 0 of every candidate block, none, SLM or PTS, is bit for bit the
+  unmodified frame, for a lone frame and for a chunk (the never-worse
+  guarantees rest on it);
 * the PTS search over the W^(V-1) orbit representatives picks, bit for
   bit, what the exhaustive W^V search picks;
 * SLM's one (M-1, N) draw of phase indices gives the rotations that M-1
@@ -56,8 +59,8 @@ from ofdm_papr import (
     trial_stream,
 )
 from ofdm_papr.frame import papr_linear, pick_min
-from ofdm_papr.pts import pts_search
-from ofdm_papr.slm import PHASE_ALPHABET, phase_rotations
+from ofdm_papr.pts import pts_candidates
+from ofdm_papr.slm import PHASE_ALPHABET, phase_rotations, slm_candidates
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -253,14 +256,42 @@ def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, schem
     partition = make_partition(n, v, scheme, rng)
     blocks = np.where(partition.block_of == np.arange(v)[:, None], symbols, 0.0)
     scores = papr_linear(all_factors(w, v) @ time_samples(blocks, oversample))
+    # Row 0 of the exhaustive sums is the directly synthesized frame.
+    scores[0] = papr_linear(time_samples(symbols, oversample))
     index = pick_min(scores)
-    score = scores[index]
-    base_score = papr_linear(time_samples(symbols, oversample))
-    if score > base_score:
-        index, score = 0, base_score
-    found_index, found_score, _ = pts_search(symbols, partition, w, oversample)
-    assert found_index == index
-    assert np.float64(found_score).tobytes() == np.float64(score).tobytes()
+    found = papr_linear(pts_candidates(symbols, partition, w, oversample))
+    assert pick_min(found) == index
+    assert found[index].tobytes() == scores[index].tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from(Method), st.sampled_from([1, 2, 8]), st.sampled_from(ModulationScheme),
+       st.sampled_from(PartitionScheme),
+       st.sampled_from([(n, w, v) for n in (1, 2, 4, 16) for w in (2, 4) for v in (1, 2, 4)
+                        if n % v == 0]),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_row_0_of_every_candidate_block_is_the_unmodified_frame(method, oversample, modulation,
+                                                                  scheme, n_w_v, trials, seed):
+    # Small N at L=1 makes exact zeros among the samples, whose sign bits
+    # the comparison sees too.
+    n, w, v = n_w_v
+    m = 4
+    rng = np.random.default_rng(seed)
+    symbols = np.stack([random_frame(n, modulation, rng).symbols for _ in range(trials)])
+    partition = make_partition(n, v, scheme, rng)
+    rotations = (np.ones((trials, 1, n), dtype=np.complex128) if method is Method.NONE
+                 else np.stack([phase_rotations(m, n, rng) for _ in range(trials)]))
+
+    def block(rows):
+        if method is Method.PTS:
+            return pts_candidates(symbols[rows], partition, w, oversample)
+        return slm_candidates(symbols[rows], rotations[rows], oversample)
+
+    chunk = block(slice(None))
+    for t in range(trials):
+        unmodified = time_samples(symbols[t], oversample).tobytes()
+        assert block(t)[0].tobytes() == unmodified
+        assert chunk[t, 0].tobytes() == unmodified
 
 
 def per_row_rotations(m_count, n, rng):

@@ -135,19 +135,19 @@ def test_never_worse_than_original():
 
 
 def test_the_returned_frame_scores_the_reported_papr():
-    # When rounding in the block sums lifts the chosen all-ones candidate a
-    # few ulps above the unmodified frame, the search floors at that frame
-    # (seeds 24, 49, 59 and 84 here); the frame it returns must be the one
-    # it scored, bit for bit, floored or not.
+    # Candidate 0 is the unmodified frame, synthesized directly, not the
+    # all-ones sum of the block signals, whose rounding can lift it a few
+    # ulps (seeds 24, 49, 59 and 84 here); the frame the search returns must
+    # be the one it scored, bit for bit, the unmodified frame or not.
     part = make_partition(16, 2, PartitionScheme.ADJACENT)
-    floored = 0
+    unmodified = 0
     for seed in range(100):
         freq = random_frame(16, QPSK, np.random.default_rng(seed))
         result = pts_reduce(freq, part, 2, 1)
         assert papr(result.frame).linear == result.papr.linear
         original = synthesize(freq, 1)
-        floored += result.frame.samples.tobytes() == original.samples.tobytes()
-    assert floored >= 4
+        unmodified += result.frame.samples.tobytes() == original.samples.tobytes()
+    assert unmodified >= 4
 
 
 def test_matches_direct_reconstruction_oracle():

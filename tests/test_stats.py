@@ -35,6 +35,9 @@ def test_empirical_rejects_bad_input():
         empirical_ccdf([1.0], [2.0, 1.0])
     with pytest.raises(ValueError, match="ascending"):
         empirical_ccdf([1.0], [1.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_ccdf([bad, 1.0], [0.0, 2.0])
 
 
 def test_vanishing_threshold_gives_certainty():
@@ -101,6 +104,11 @@ def test_domain_errors():
         theoretical_ccdf_original(64, 0.0)
     with pytest.raises(ValueError, match="positive"):
         theoretical_ccdf_original(64, -1.0)
+    with pytest.raises(ValueError, match="positive"):
+        theoretical_ccdf_original(64, np.nan)
+    with pytest.raises(ValueError, match="positive"):
+        theoretical_ccdf_original(64, np.array([1.0, np.nan]))
+    assert theoretical_ccdf_original(64, np.inf) == 0.0
     with pytest.raises(ValueError, match=">= 1"):
         theoretical_ccdf_original(0, 1.0)
     with pytest.raises(ValueError, match=">= 1"):
