@@ -14,9 +14,9 @@ never-worse guarantees of the reduction algorithms rely on this.
 
 :func:`time_samples` and :func:`papr_linear` allocate the arrays of each
 call: the zero-padded spectra (L > 1), the time samples, |x|^2 and the
-levels of the pairwise sum.  :func:`check_work` bounds the size of what a
-call may allocate; :func:`time_samples` (so :func:`synthesize`), the SLM
-and PTS public functions and the experiment config call it first.
+levels of the pairwise sum.  They trust their input: :func:`check_work`
+bounds the size of what a call may allocate, and :func:`synthesize`, the
+SLM and PTS public functions and the experiment config call it first.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft import inverse_dft, is_power_of_two
-from .modulation import FrequencyFrame
+from .modulation import FrequencyFrame, check_signal, read_only_field
 
 
 @dataclass(frozen=True)
@@ -50,19 +50,12 @@ class TimeFrame:
     oversample: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
+        arr = read_only_field(self, "samples", np.complex128)
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
         if arr.size % self.oversample != 0:
             raise ValueError(f"sample count {arr.size} is not a multiple of L={self.oversample}")
-        if not np.isfinite(arr.view(np.float64)).all():
-            raise ValueError("samples contain non-finite values")
-        if not arr.any():
-            raise ValueError("all-zero frame has undefined PAPR")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        check_signal(arr, "samples")
 
     @property
     def n_subcarriers(self) -> int:
@@ -101,14 +94,13 @@ def pad_spectrum(symbols: np.ndarray, oversample: int) -> np.ndarray:
     return out
 
 
-def time_samples(symbols, oversample: int = 1) -> np.ndarray:
-    """Synthesize (..., L*N) time samples from (..., N) spectra.
+def time_samples(symbols: np.ndarray, oversample: int = 1) -> np.ndarray:
+    """Synthesize (..., L*N) time samples from (..., N) complex spectra.
 
     Array-level core of :func:`synthesize`; batches transform in one call.
     """
-    arr = np.asarray(symbols, dtype=np.complex128)
-    check_work(arr.shape[-1], oversample)
-    return inverse_dft(pad_spectrum(arr, oversample))
+    # Not np.fft.ifft: without inverse_dft's finiteness scan SLM trials re-fault (ROADMAP item 2).
+    return inverse_dft(pad_spectrum(symbols, oversample))
 
 
 def _tree_sum(values: np.ndarray) -> np.ndarray:
@@ -145,10 +137,8 @@ def is_unit_magnitude(values: np.ndarray) -> bool:
 
 
 def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:
-    """Synthesize the oversampled time-domain frame of one frequency frame.
-
-    :func:`time_samples` bounds L*N by :func:`check_work` before it allocates.
-    """
+    """Synthesize the oversampled time-domain frame of one frequency frame."""
+    check_work(freq.n_subcarriers, oversample)
     return TimeFrame(time_samples(freq.symbols, oversample), oversample)
 
 

@@ -41,7 +41,7 @@ from .modulation import ModulationScheme, draw_symbols
 from .modulation import random_frame  # noqa: F401
 from .pts import PartitionScheme, make_partition, pts_candidates
 from .slm import phase_rotations, slm_candidates
-from .stats import CcdfCurve, empirical_ccdf, theoretical_curve
+from .stats import CcdfCurve, check_grid, empirical_ccdf, theoretical_curve
 
 _STREAM_FRAME = 0
 _STREAM_METHOD = 1
@@ -126,10 +126,7 @@ class ExperimentConfig:
         if self.pts_phase_order not in (2, 4):
             raise ValueError(f"pts_phase_order={self.pts_phase_order} not in (2, 4)")
         check_work(self.n_subcarriers, self.oversample, _candidates(self))
-        grid = np.asarray(self.thresholds_db, dtype=np.float64)
-        if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
-                or not np.all(np.diff(grid) > 0)):
-            raise ValueError("thresholds must be a non-empty strictly ascending finite grid")
+        check_grid(self.thresholds_db)
 
     def as_dict(self) -> dict:
         out = {}

@@ -32,6 +32,28 @@ class ModulationScheme(Enum):
         return _BPSK_TABLE if self is ModulationScheme.BPSK else _QPSK_TABLE
 
 
+def read_only_field(obj, name: str, dtype) -> np.ndarray:
+    """Replace field `name` of a frozen dataclass with a read-only 1-D copy; return it.
+
+    The copy adds 0, which turns -0.0 parts into +0.0, so the identity
+    rotation and weighting leave every copied symbol bit for bit.
+    """
+    arr = np.asarray(getattr(obj, name), dtype=dtype) + 0
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
+def check_signal(arr: np.ndarray, name: str) -> None:
+    """Reject a frame with a non-finite value, or all zero (its PAPR is undefined)."""
+    if not np.isfinite(arr.view(np.float64)).all():
+        raise ValueError(f"{name} contain non-finite values")
+    if not arr.any():
+        raise ValueError("all-zero frame has undefined PAPR")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class FrequencyFrame:
     """One OFDM symbol in the frequency domain: N complex subcarrier symbols.
@@ -43,17 +65,10 @@ class FrequencyFrame:
     symbols: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.symbols, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError("symbols must be one-dimensional")
+        arr = read_only_field(self, "symbols", np.complex128)
         if not is_power_of_two(arr.size):
             raise ValueError(f"frame length {arr.size} is not a power of two")
-        if not np.isfinite(arr.view(np.float64)).all():
-            raise ValueError("symbols contain non-finite values")
-        if not arr.any():
-            raise ValueError("all-zero frame has undefined PAPR")
-        arr.flags.writeable = False
-        object.__setattr__(self, "symbols", arr)
+        check_signal(arr, "symbols")
 
     @property
     def n_subcarriers(self) -> int:

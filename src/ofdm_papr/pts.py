@@ -31,9 +31,8 @@ import numpy as np
 
 from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr_linear, pick_min,
                     time_samples)
-from .modulation import FrequencyFrame
-
-_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])   # W=2 uses the first two
+from .modulation import FrequencyFrame, read_only_field
+from .slm import PHASE_ALPHABET
 
 
 class PartitionScheme(Enum):
@@ -51,9 +50,7 @@ class SubBlockPartition:
     scheme: PartitionScheme
 
     def __post_init__(self) -> None:
-        arr = np.array(self.block_of, dtype=np.intp)
-        if arr.ndim != 1:
-            raise ValueError("block_of must be one-dimensional")
+        arr = read_only_field(self, "block_of", np.intp)
         if self.v_count < 1:
             raise ValueError("v_count must be >= 1")
         if arr.size % self.v_count != 0:
@@ -61,8 +58,6 @@ class SubBlockPartition:
         counts = np.bincount(arr, minlength=self.v_count)
         if counts.size != self.v_count or not np.all(counts == arr.size // self.v_count):
             raise ValueError("blocks must be disjoint, covering, and equal-sized")
-        arr.flags.writeable = False
-        object.__setattr__(self, "block_of", arr)
 
     @property
     def n(self) -> int:
@@ -77,15 +72,11 @@ class PhaseVector:
     combination_index: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.factors, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError("factors must be one-dimensional")
+        arr = read_only_field(self, "factors", np.complex128)
         if not is_unit_magnitude(arr):
             raise ValueError("factors must have unit magnitude")
         if self.combination_index < 0:
             raise ValueError("combination_index must be non-negative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "factors", arr)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -128,7 +119,7 @@ def _factor_matrix(w: int, v_count: int) -> np.ndarray:
         raise ValueError(f"unsupported phase order W={w}; choose 2 or 4")
     if v_count < 1:
         raise ValueError("v_count must be >= 1")
-    factors = _ALPHABET[np.indices((w,) * v_count).reshape(v_count, -1).T]
+    factors = PHASE_ALPHABET[np.indices((w,) * v_count).reshape(v_count, -1).T]
     factors.flags.writeable = False
     return factors
 

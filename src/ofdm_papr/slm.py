@@ -14,9 +14,9 @@ import numpy as np
 
 from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr_linear, pick_min,
                     time_samples)
-from .modulation import FrequencyFrame
+from .modulation import FrequencyFrame, read_only_field
 
-PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])
+PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])  # PTS at W=2: the first two
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -27,17 +27,13 @@ class PhaseSequence:
     index: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.rotations, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError("rotations must be one-dimensional")
+        arr = read_only_field(self, "rotations", np.complex128)
         if self.index < 0:
             raise ValueError("index must be non-negative")
         if not is_unit_magnitude(arr):
             raise ValueError("rotations must have unit magnitude")
         if self.index == 0 and not np.all(arr == 1.0):
             raise ValueError("sequence 0 must be the all-ones identity")
-        arr.flags.writeable = False
-        object.__setattr__(self, "rotations", arr)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -18,6 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import TimeFrame
+from .modulation import read_only_field
+
+
+def check_grid(thresholds_db) -> np.ndarray:
+    """The dB threshold grid as a float64 array: non-empty, 1-D, finite, strictly ascending."""
+    grid = np.asarray(thresholds_db, dtype=np.float64)
+    if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+            or not np.all(np.diff(grid) > 0)):
+        raise ValueError("thresholds must be a non-empty strictly ascending finite 1-D grid")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -32,22 +42,14 @@ class CcdfCurve:
     sample_count: int = 0
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds_db, dtype=np.float64)
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if t.ndim != 1 or p.shape != t.shape:
+        t = check_grid(read_only_field(self, "thresholds_db", np.float64))
+        p = read_only_field(self, "probabilities", np.float64)
+        if p.shape != t.shape:
             raise ValueError("thresholds and probabilities must be 1-D and equal length")
-        if t.size == 0:
-            raise ValueError("curve must contain at least one threshold")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("thresholds must be strictly ascending")
         if np.any(p < 0) or np.any(p > 1):
             raise ValueError("probabilities must lie in [0, 1]")
         if not np.all(np.diff(p) <= 0):
             raise ValueError("probabilities must be non-increasing")
-        t.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "thresholds_db", t)
-        object.__setattr__(self, "probabilities", p)
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,7 @@ def empirical_ccdf(samples_db, thresholds_db) -> CcdfCurve:
         raise ValueError("at least one sample is required")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
-    grid = np.asarray(thresholds_db, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) > 0):
-        raise ValueError("thresholds must be a non-empty strictly ascending 1-D grid")
+    grid = check_grid(thresholds_db)
     ordered = np.sort(samples)
     exceed = samples.size - np.searchsorted(ordered, grid, side="right")
     return CcdfCurve(grid, exceed / samples.size, sample_count=samples.size)

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from ofdm_papr import FrequencyFrame, ModulationScheme, map_bits, random_frame
+from ofdm_papr import (
+    FrequencyFrame,
+    ModulationScheme,
+    PartitionScheme,
+    PhaseSequence,
+    PhaseVector,
+    SubBlockPartition,
+    TimeFrame,
+    map_bits,
+    random_frame,
+)
 
 BPSK = ModulationScheme.BPSK
 QPSK = ModulationScheme.QPSK
@@ -83,9 +93,28 @@ def test_frequency_frame_validation():
         FrequencyFrame(np.zeros(8))
 
 
-def test_frequency_frame_immutable():
-    frame = FrequencyFrame([1, -1, 1j, -1j])
-    with pytest.raises(AttributeError):
-        frame.symbols = None
+# (wrapper class, its array field, a valid 1-D value, the other arguments)
+ARRAY_WRAPPERS = [
+    (FrequencyFrame, "symbols", [1, -1, 1j, -1j], ()),
+    (TimeFrame, "samples", [1, -1, 1j, -1j], (1,)),
+    (PhaseSequence, "rotations", [1, -1, 1j, -1j], (1,)),
+    (SubBlockPartition, "block_of", [0, 1, 0, 1], (2, PartitionScheme.INTERLEAVED)),
+    (PhaseVector, "factors", [1, -1, 1j, -1j], (0,)),
+]
+
+
+@pytest.mark.parametrize("cls, field, value, rest", ARRAY_WRAPPERS,
+                         ids=[w[0].__name__ for w in ARRAY_WRAPPERS])
+def test_array_wrappers_hold_a_read_only_copy(cls, field, value, rest):
+    with pytest.raises(ValueError, match=f"{field} must be one-dimensional"):
+        cls(np.reshape(value, (2, 2)), *rest)
+    given = np.array(value)
+    obj = cls(given, *rest)
+    stored = getattr(obj, field)
+    assert not stored.flags.writeable
     with pytest.raises(ValueError):
-        frame.symbols[0] = 0
+        stored[0] = stored[1]
+    given[0] = given[1]
+    assert_array_equal(stored, value)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, given)

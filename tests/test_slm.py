@@ -75,6 +75,12 @@ def test_identity_only_returns_original_frame():
     assert result.selected_index == 0
     assert_array_equal(result.frame.samples, original.samples)
     assert result.papr.linear == papr(original).linear
+    # A -0.0 part must not survive into row 0 as a sign bit the identity flips.
+    freq = FrequencyFrame([complex(-0.0, -1.0), 1, 1j, -1])
+    identity = generate_phase_sequences(1, 4, np.random.default_rng(0))
+    for oversample in (1, 2):
+        result = slm_reduce(freq, identity, oversample)
+        assert result.frame.samples.tobytes() == synthesize(freq, oversample).samples.tobytes()
 
 
 def test_never_worse_than_original():

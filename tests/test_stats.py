@@ -38,6 +38,8 @@ def test_empirical_rejects_bad_input():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             empirical_ccdf([bad, 1.0], [0.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            empirical_ccdf([1.0, 2.0], [bad])
 
 
 def test_vanishing_threshold_gives_certainty():
@@ -132,6 +134,9 @@ def test_ccdf_curve_validation():
         CcdfCurve(np.array([1.0, 2.0]), np.array([1.5, 0.5]))
     with pytest.raises(ValueError, match="equal length"):
         CcdfCurve(np.array([1.0, 2.0]), np.array([0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CcdfCurve(np.array([bad]), np.array([0.5]))
 
 
 def test_constant_frames_have_zero_variance():
