@@ -7,7 +7,9 @@ a direct O(P^2) summation oracle pins the result in the tests.
 
 Both functions transform the last axis of (..., P) arrays, so batches go
 through one call.  Each row of a batch is bitwise equal to that row
-transformed alone; the never-worse guarantees of SLM and PTS rely on this.
+transformed alone.  The synthesis core, ``frame.time_samples``, calls the
+same numpy transform without these checks; the never-worse guarantees of
+SLM and PTS rely on that row invariance.
 """
 
 from __future__ import annotations

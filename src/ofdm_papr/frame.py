@@ -6,17 +6,21 @@ zeros are inserted between the two halves before the inverse transform.
 No renormalisation is applied afterwards; the PAPR is a ratio and does not
 depend on the overall scale.
 
-The power mean used by the PAPR is accumulated with an even/odd pairwise
-tree over the last axis.  Elementwise tree steps are bitwise deterministic
-for any leading batch shape, so a frame scored inside a candidate batch
-yields exactly the same value as the same frame scored alone.  The
-never-worse guarantees of the reduction algorithms rely on this.
+A run scores its candidates by the peak alone.  Every frame on the run
+path has energy exactly N: the BPSK/QPSK symbols, SLM rotations and PTS
+factors have unit magnitude and the transform is unitary, so by Parseval
+the mean power is 1/L and the PAPR is L*max|x|^2.  :func:`spend_peak_power`
+takes each row's max|x|^2 in place, in the run's own candidate block, and
+allocates nothing beyond its (..., C) result.  The public :func:`papr` keeps
+the time-domain mean, since a :class:`~ofdm_papr.modulation.FrequencyFrame`
+may hold any finite symbols.  Its mean is accumulated with an even/odd
+pairwise tree over the last axis, whose elementwise steps are bitwise
+deterministic for any leading batch shape: a frame scored inside a batch
+(``SlmResult.all_paprs``) yields exactly the value it yields alone.
 
-:func:`time_samples` and :func:`papr_linear` allocate the arrays of each
-call: the zero-padded spectra (L > 1), the time samples, |x|^2 and the
-levels of the pairwise sum.  They trust their input: :func:`check_work`
-bounds the size of what a call may allocate, and :func:`synthesize`, the
-SLM and PTS public functions and the experiment config call it first.
+The cores trust their input: :func:`check_work` bounds the size of what a
+call may allocate, and :func:`synthesize`, the SLM and PTS public functions
+and the experiment config call it first.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import inverse_dft, is_power_of_two
+from .dft import is_power_of_two
 from .modulation import FrequencyFrame, check_signal, read_only_field
 
 
@@ -79,28 +83,36 @@ def check_work(n: int, oversample: int, candidates: int = 1) -> None:
         raise ValueError(f"{candidates} candidates of L*N = {samples} samples exceed 2**24")
 
 
-def pad_spectrum(symbols: np.ndarray, oversample: int) -> np.ndarray:
-    """Zero-pad (..., N) spectra at the midpoint to length L*N.
+def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Zero-pad (..., N) spectra at the midpoint to length L*N, into `out` when given.
 
-    At L=1 the spectra are returned as they are.
+    Without `out`, L=1 spectra are returned as they are.
     """
     n = symbols.shape[-1]
-    if oversample == 1:
-        return symbols
+    if out is None:
+        if oversample == 1:
+            return symbols
+        out = np.empty(symbols.shape[:-1] + (oversample * n,), dtype=np.complex128)
     half = n // 2
-    out = np.zeros(symbols.shape[:-1] + (oversample * n,), dtype=np.complex128)
+    tail = oversample * n - (n - half)
     out[..., :half] = symbols[..., :half]
-    out[..., oversample * n - (n - half):] = symbols[..., half:]
+    out[..., half:tail] = 0
+    out[..., tail:] = symbols[..., half:]
     return out
 
 
-def time_samples(symbols: np.ndarray, oversample: int = 1) -> np.ndarray:
+def time_samples(symbols: np.ndarray, oversample: int = 1, out: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Synthesize (..., L*N) time samples from (..., N) complex spectra.
 
     Array-level core of :func:`synthesize`; batches transform in one call.
+    Given `out`, the spectra are padded into it and transformed in place,
+    so the call allocates nothing of its size.  No finiteness scan: the
+    public frames check their symbols and samples, and
+    :func:`~ofdm_papr.dft.inverse_dft` stays the validated transform.
     """
-    # Not np.fft.ifft: without inverse_dft's finiteness scan SLM trials re-fault (ROADMAP item 2).
-    return inverse_dft(pad_spectrum(symbols, oversample))
+    return np.fft.ifft(pad_spectrum(symbols, oversample, out), norm="ortho", out=out)
 
 
 def _tree_sum(values: np.ndarray) -> np.ndarray:
@@ -116,6 +128,21 @@ def papr_linear(samples: np.ndarray) -> np.ndarray:
     p += np.square(samples.imag)
     peak = p.max(axis=-1)
     return peak / (_tree_sum(p) / p.shape[-1])
+
+
+def spend_peak_power(block: np.ndarray) -> np.ndarray:
+    """max |x|^2 of each row of a (..., P) complex block, spending the block.
+
+    Squares the block's float64 view in place and adds the odd (imaginary)
+    lanes into the even ones, so each value is re^2 + im^2 rounded as
+    ``np.square(x.real) + np.square(x.imag)`` rounds it.  The block's last
+    axis must be contiguous; afterwards it holds no candidate.
+    """
+    lanes = block.view(np.float64)
+    np.square(lanes, out=lanes)
+    power = lanes[..., 0::2]
+    power += lanes[..., 1::2]
+    return power.max(axis=-1)
 
 
 _TIE_RTOL = 1e-12

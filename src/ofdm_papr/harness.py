@@ -12,9 +12,10 @@ Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
 results are also chunk-independent: the chunk size changes no byte.  The
-methods differ only in the block that ``slm_candidates`` or ``pts_candidates``
-builds, whose row 0 is the unmodified frame, and share one scoring and pick;
-a run without reduction is SLM with that identity candidate alone.
+methods differ only in what ``slm_candidates`` or ``pts_candidates`` writes
+into the run's one candidate block, whose row 0 is the unmodified frame, and
+share one scoring, L*max|x|^2 in place, and one pick; a run without
+reduction is SLM with that identity candidate alone.
 
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .dft import is_power_of_two
-from .frame import check_work, papr_linear, pick_min
+from .frame import check_work, pick_min, spend_peak_power
 from .modulation import ModulationScheme, draw_symbols
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
@@ -166,13 +167,16 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
     if config.method is Method.PTS:
         partition = make_partition(n, v, config.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
-    rows = max(1, min(config.trials, _CHUNK_SAMPLES // (_candidates(config) * oversample * n)))
+    c = _candidates(config)
+    rows = max(1, min(config.trials, _CHUNK_SAMPLES // (c * oversample * n)))
 
-    # One set of chunk rows for the whole run: the chunks reuse them.  SLM's
-    # candidate 0 is the unmodified frame, so none searches that one alone.
+    # One set of chunk rows and one candidate block for the whole run: the
+    # chunks reuse them, so a trial allocates no candidate-sized array.
+    # SLM's candidate 0 is the unmodified frame, so none searches that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (None if config.method is Method.PTS
-                 else np.ones((rows, _candidates(config), n), dtype=np.complex128))
+                 else np.ones((rows, c, n), dtype=np.complex128))
+    block = np.empty((rows, c, oversample * n), dtype=np.complex128)
     linear = np.empty(config.trials, dtype=np.float64)
     side_info = np.zeros(config.trials, dtype=np.int64)
     for start in range(0, config.trials, rows):
@@ -181,21 +185,22 @@ def run_experiment(config: ExperimentConfig, analytic: bool = False) -> Experime
             symbols[i] = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
             if config.method is Method.SLM:
                 rotations[i] = phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t))
-        # Nothing holds the candidate block past its scoring: held across the
-        # next chunk's draws, it made every SLM trial page-fault.
-        scores = papr_linear(
-            pts_candidates(symbols[:stop - start], partition, config.pts_phase_order, oversample)
-            if config.method is Method.PTS
-            else slm_candidates(symbols[:stop - start], rotations[:stop - start], oversample))
+        k = stop - start
+        if config.method is Method.PTS:
+            pts_candidates(symbols[:k], partition, config.pts_phase_order, oversample, block[:k])
+        else:
+            slm_candidates(symbols[:k], rotations[:k], oversample, block[:k])
+        # Every frame here has energy N (Parseval), so its PAPR is L*max|x|^2.
+        scores = oversample * spend_peak_power(block[:k])
         side_info[start:stop] = index = pick_min(scores)
-        linear[start:stop] = scores[np.arange(stop - start), index]
+        linear[start:stop] = scores[np.arange(k), index]
     # PaprSample.db's expression: np.log10 can be an ulp away from it.
     samples_db = np.array([10.0 * math.log10(score) for score in linear.tolist()])
 
     empirical = empirical_ccdf(samples_db, config.thresholds_db)
     analytic_curve = None
     if analytic and config.method is not Method.PTS:
-        analytic_curve = theoretical_curve(n, config.thresholds_db, _candidates(config))
+        analytic_curve = theoretical_curve(n, config.thresholds_db, c)
 
     return ExperimentResult(
         config=config,

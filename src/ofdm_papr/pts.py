@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr_linear, pick_min,
+from .frame import (TimeFrame, check_work, is_unit_magnitude, papr, pick_min, spend_peak_power,
                     time_samples)
 from .modulation import FrequencyFrame, read_only_field
 from .slm import PHASE_ALPHABET
@@ -140,20 +140,19 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
 
 
 def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
-                   oversample: int) -> np.ndarray:
-    """Array core of :func:`pts_reduce`: the (..., W^(V-1), L*N) candidate block.
+                   oversample: int, block: np.ndarray) -> np.ndarray:
+    """Array core of :func:`pts_reduce`: write the (..., W^(V-1), L*N) candidate block.
 
-    Takes (..., N) symbols, one trial per leading index.  Row 0 is the
-    unmodified frame, synthesized directly; row i is the weighted sum of
-    the block signals under orbit representative i.  The block is fresh,
-    allocated by this call.
+    Takes (..., N) symbols, one trial per leading index, and the caller's
+    complex128 block to write; returns that block.  Row 0 is the unmodified
+    frame, synthesized directly; row i is the weighted sum of the block
+    signals under orbit representative i.
     """
     v = partition.v_count
     c = w ** (v - 1)                                   # the orbit representatives
     # The unmodified frame, then the V block signals.
     signals = time_samples(np.where(_block_masks(partition), symbols[..., None, :], 0),
                            oversample)
-    block = np.empty(signals.shape[:-2] + (c, signals.shape[-1]), dtype=np.complex128)
     block[..., 0, :] = signals[..., 0, :]
     np.matmul(_factor_matrix(w, v)[1:c], signals[..., 1:, :], out=block[..., 1:, :])
     return block
@@ -163,21 +162,25 @@ def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
                oversample: int) -> PtsResult:
     """Search the phase combinations for the minimum PAPR.
 
-    Scores the W^(V-1) orbit representatives (block 1 weighted by +1) and
-    returns what the exhaustive W^V search returns: the same combination
-    index, in the full enumeration, and the same PAPR.
+    Scores the W^(V-1) orbit representatives (block 1 weighted by +1) by
+    peak power, as a run does: every combination has the frame's energy, so
+    the lowest peak is the lowest PAPR.  Returns what the exhaustive W^V
+    search returns: the same combination index, in the full enumeration,
+    and the winner's PAPR by the public :func:`~ofdm_papr.frame.papr`.
     """
     if partition.n != freq.n_subcarriers:
         raise ValueError(
             f"partition over {partition.n} subcarriers does not match frame "
             f"of {freq.n_subcarriers}")
-    check_work(partition.n, oversample, w ** (partition.v_count - 1))
-    candidates = pts_candidates(freq.symbols, partition, w, oversample)
-    scores = papr_linear(candidates)
-    best = int(pick_min(scores))
+    c = w ** (partition.v_count - 1)
+    check_work(partition.n, oversample, c)
+    candidates = np.empty((c, oversample * partition.n), dtype=np.complex128)
+    pts_candidates(freq.symbols, partition, w, oversample, candidates)
+    best = int(pick_min(spend_peak_power(candidates.copy())))
+    frame = TimeFrame(candidates[best], oversample)
     return PtsResult(
-        frame=TimeFrame(candidates[best], oversample),
+        frame=frame,
         chosen=PhaseVector(_factor_matrix(w, partition.v_count)[best], best),
-        papr=PaprSample.from_linear(scores[best]),
-        combinations_searched=w ** (partition.v_count - 1),
+        papr=papr(frame),
+        combinations_searched=c,
     )

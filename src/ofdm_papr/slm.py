@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr_linear, pick_min,
-                    time_samples)
+from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr, papr_linear,
+                    pick_min, spend_peak_power, time_samples)
 from .modulation import FrequencyFrame, read_only_field
 
 PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])  # PTS at W=2: the first two
@@ -57,14 +57,15 @@ def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarra
     return rows
 
 
-def slm_candidates(symbols: np.ndarray, rotations: np.ndarray, oversample: int) -> np.ndarray:
-    """Array core of :func:`slm_reduce`: the (..., M, L*N) candidate block.
+def slm_candidates(symbols: np.ndarray, rotations: np.ndarray, oversample: int,
+                   block: np.ndarray) -> np.ndarray:
+    """Array core of :func:`slm_reduce`: write the (..., M, L*N) candidate block.
 
     Takes (..., N) symbols and (..., M, N) rotations, one trial per leading
-    index; with the identity rotation first, row 0 is the unmodified frame.
-    The block is fresh, allocated by this call.
+    index, and the caller's complex128 block to write; returns that block.
+    With the identity rotation first, row 0 is the unmodified frame.
     """
-    return time_samples(symbols[..., None, :] * rotations, oversample)
+    return time_samples(symbols[..., None, :] * rotations, oversample, out=block)
 
 
 def generate_phase_sequences(m_count: int, n: int,
@@ -79,10 +80,13 @@ def generate_phase_sequences(m_count: int, n: int,
 
 def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
                oversample: int) -> SlmResult:
-    """Synthesize every rotated candidate and return the minimum-PAPR one.
+    """Synthesize every rotated candidate and return the one of lowest peak power.
 
-    Ties break toward the lowest index within a 1e-12 relative window, as in
-    PTS.  Pure function of its inputs; the candidates are scored as one batch.
+    Picks as a run does, by max|x|^2 with ties toward the lowest index within
+    a 1e-12 relative window, as in PTS; with unit-magnitude rotations every
+    candidate has the frame's energy, so that is the minimum PAPR.  The
+    reported PAPRs are the public :func:`~ofdm_papr.frame.papr`'s.  Pure
+    function of its inputs; the candidates are scored as one batch.
     """
     if not sequences:
         raise ValueError("at least one phase sequence is required")
@@ -93,13 +97,14 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
             raise ValueError(
                 f"sequence length {s.rotations.size} != frame length {freq.n_subcarriers}")
     check_work(freq.n_subcarriers, oversample, len(sequences))
-    candidates = slm_candidates(freq.symbols, np.stack([s.rotations for s in sequences]),
-                                oversample)
-    scores = papr_linear(candidates)
-    best = pick_min(scores)
+    candidates = np.empty((len(sequences), oversample * freq.n_subcarriers), dtype=np.complex128)
+    slm_candidates(freq.symbols, np.stack([s.rotations for s in sequences]), oversample,
+                   candidates)
+    best = int(pick_min(spend_peak_power(candidates.copy())))
+    frame = TimeFrame(candidates[best], oversample)
     return SlmResult(
-        frame=TimeFrame(candidates[best], oversample),
-        selected_index=int(best),
-        papr=PaprSample.from_linear(scores[best]),
-        all_paprs=[PaprSample.from_linear(v) for v in scores],
+        frame=frame,
+        selected_index=best,
+        papr=papr(frame),
+        all_paprs=[PaprSample.from_linear(v) for v in papr_linear(candidates)],
     )

@@ -101,7 +101,7 @@ def theoretical_ccdf_slm(n: int, m: int, z_linear) -> float | np.ndarray:
 
 def theoretical_curve(n: int, thresholds_db, slm_branches: int = 1) -> CcdfCurve:
     """Closed-form CCDF evaluated on a dB grid, as a CcdfCurve."""
-    grid = np.asarray(thresholds_db, dtype=np.float64)
+    grid = check_grid(thresholds_db)
     z = 10.0 ** (grid / 10.0)
     return CcdfCurve(grid, theoretical_ccdf_slm(n, slm_branches, z), sample_count=0)
 

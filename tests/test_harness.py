@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,9 @@ from ofdm_papr import (
     trial_stream,
     write_result,
 )
+import ofdm_papr
 from ofdm_papr import harness
-from ofdm_papr.frame import papr_linear, pick_min
+from ofdm_papr.frame import pick_min, spend_peak_power
 from ofdm_papr.modulation import draw_symbols
 from ofdm_papr.pts import pts_candidates
 from ofdm_papr.slm import phase_rotations, slm_candidates
@@ -274,11 +279,15 @@ def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modula
     if method is Method.NONE:
         rotations = np.ones((trials, 1, n), dtype=np.complex128)   # the identity alone
 
+    candidates = {Method.NONE: 1, Method.SLM: m, Method.PTS: w ** (v - 1)}[method]
+
     def search(rows):
-        block = (pts_candidates(symbols[rows], partition, w, oversample)
-                 if method is Method.PTS
-                 else slm_candidates(symbols[rows], rotations[rows], oversample))
-        scores = papr_linear(block)
+        block = np.empty((len(symbols[rows]), candidates, oversample * n), dtype=np.complex128)
+        if method is Method.PTS:
+            pts_candidates(symbols[rows], partition, w, oversample, block)
+        else:
+            slm_candidates(symbols[rows], rotations[rows], oversample, block)
+        scores = spend_peak_power(block.copy())
         return pick_min(scores), scores, block
 
     chunk = search(slice(None))
@@ -307,11 +316,11 @@ def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulat
     candidates = {Method.NONE: 1, Method.SLM: 4, Method.PTS: 2 ** 3}[method]
     chunks = []
 
-    def counted(block, score=harness.papr_linear):
+    def counted(block, score=harness.spend_peak_power):
         chunks.append(len(block))
         return score(block)
 
-    monkeypatch.setattr(harness, "papr_linear", counted)
+    monkeypatch.setattr(harness, "spend_peak_power", counted)
     default = run_experiment(config)
     assert sum(chunks) == trials
     for rows, sizes in ((1, [1] * trials), (5, [5, 5, 5, 5, 3])):
@@ -321,3 +330,37 @@ def test_the_chunk_size_changes_no_byte(monkeypatch, method, oversample, modulat
         assert chunks == sizes
         assert result.samples_db.tobytes() == default.samples_db.tobytes()
         assert result.side_info.tobytes() == default.side_info.tobytes()
+
+
+# Runs one config in a fresh interpreter, after a 20-trial warm-up, and
+# prints its minor page faults per trial.
+FAULT_PROBE = """
+import json, resource, sys
+from dataclasses import replace
+from ofdm_papr import ExperimentConfig, Method, run_experiment
+fields = json.loads(sys.argv[1])
+config = ExperimentConfig(**{**fields, "method": Method(fields["method"])})
+run_experiment(replace(config, trials=20))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.trials)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+@pytest.mark.parametrize("fields", [
+    dict(method="slm", n_subcarriers=128, oversample=8, slm_branches=16, trials=400),
+    dict(method="slm", n_subcarriers=256, oversample=8, slm_branches=8, trials=200),
+    dict(method="pts", n_subcarriers=128, oversample=8, pts_blocks=4, pts_phase_order=4,
+         trials=300),
+], ids=["slm-N128-M16", "slm-N256-M8", "pts-N128-V4-W4"])
+def test_a_run_does_not_page_fault_every_trial(fields):
+    # A run that frees and re-allocates candidate-sized arrays every trial
+    # can have the allocator hand them back to the OS and fault them in
+    # again: hundreds of faults per trial, and twice the time.
+    src = str(Path(ofdm_papr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE, json.dumps(fields)],
+                           capture_output=True, text=True, env=env, check=True)
+    assert float(probe.stdout) < 5

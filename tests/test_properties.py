@@ -4,16 +4,22 @@
 the same cores in validated objects.  These properties keep the two from
 drifting apart, and hold the run path to its guarantees:
 
-* each trial's sample and side information equal, bit for bit, the values
-  rebuilt from the trial's streams through the public functions, in any
-  trial order;
+* each trial's side information equals the index the public functions
+  return from the trial's streams, in any trial order, and its sample
+  equals, bit for bit, 10 log10(L max|x|^2) of the frame they return;
+* one trial per chunk gives the bytes of the default chunks, though the
+  run reuses one candidate block across its chunks;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
 * a run without reduction gives the bytes of SLM with the identity
   candidate alone (M=1);
 * a K-trial run is the first K trials of a longer run;
 * every row of a batched transform equals, bit for bit, that row
   transformed alone, whatever the batch shape and memory layout (the
-  never-worse guarantees compare a batched candidate with a lone frame);
+  never-worse guarantees compare a batched candidate with a lone frame),
+  and a batch padded into a given block and transformed in place equals
+  the fresh transform;
+* the spent peak power of a batch equals, row by row, that row's alone and
+  max(re^2 + im^2) of an unspent copy;
 * candidates that tie in exact arithmetic resolve to the lowest index;
 * the row-wise pick of a (..., C) score batch equals, row by row, the pick
   of that row alone, ties inside the 1e-12 window included;
@@ -30,8 +36,10 @@ The random run configs limit V to W^V <= 256 to keep each example fast;
 the orbit property alone goes up to W^V = 4^8.
 """
 
+import math
 from dataclasses import replace
 from functools import cache
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -58,7 +66,8 @@ from ofdm_papr import (
     time_samples,
     trial_stream,
 )
-from ofdm_papr.frame import papr_linear, pick_min
+from ofdm_papr import harness
+from ofdm_papr.frame import pick_min, spend_peak_power
 from ofdm_papr.pts import pts_candidates
 from ofdm_papr.slm import PHASE_ALPHABET, phase_rotations, slm_candidates
 
@@ -85,20 +94,26 @@ def configs(draw):
     )
 
 
+def peak_db(frame):
+    """10 log10(L max|x|^2) of a time frame, the run's PAPR: its mean power is 1/L."""
+    power = np.square(frame.samples.real) + np.square(frame.samples.imag)
+    return 10.0 * math.log10(frame.oversample * power.max())
+
+
 def rebuilt_trial(config, t):
     """(PAPR dB, side information) of trial t through the public functions."""
     seed, n, oversample = config.master_seed, config.n_subcarriers, config.oversample
     frame = random_frame(n, config.modulation, trial_stream(seed, 0, t))
     if config.method is Method.NONE:
-        return papr(synthesize(frame, oversample)).db, 0
+        return peak_db(synthesize(frame, oversample)), 0
     if config.method is Method.SLM:
         sequences = generate_phase_sequences(config.slm_branches, n, trial_stream(seed, 1, t))
         result = slm_reduce(frame, sequences, oversample)
-        return result.papr.db, result.selected_index
+        return peak_db(result.frame), result.selected_index
     partition = make_partition(n, config.pts_blocks, config.partition_scheme,
                                trial_stream(seed, 2))
     result = pts_reduce(frame, partition, config.pts_phase_order, oversample)
-    return result.papr.db, result.chosen.combination_index
+    return peak_db(result.frame), result.chosen.combination_index
 
 
 @st.composite
@@ -118,6 +133,18 @@ def test_each_trial_matches_the_public_functions(config_and_order):
         samples[t], side_info[t] = rebuilt_trial(config, t)
     assert samples.tobytes() == result.samples_db.tobytes()
     assert side_info.tobytes() == result.side_info.tobytes()
+
+
+@SETTINGS
+@given(configs())
+def test_one_trial_per_chunk_changes_no_byte(config):
+    # The run reuses one candidate block across its chunks; a budget of one
+    # sample makes every trial a chunk of its own.
+    default = run_experiment(config)
+    with mock.patch.object(harness, "_CHUNK_SAMPLES", 1):
+        alone = run_experiment(config)
+    assert alone.samples_db.tobytes() == default.samples_db.tobytes()
+    assert alone.side_info.tobytes() == default.side_info.tobytes()
 
 
 @SETTINGS
@@ -172,9 +199,23 @@ def test_a_batched_transform_equals_each_row_alone(batch, oversample):
         assert transformed[idx].tobytes() == inverse_dft(batch[idx].copy()).tobytes()
     symbols = batch[..., :max(1, batch.shape[-1] // oversample)]
     synthesized = time_samples(symbols, oversample)
+    # The run pads into its candidate block and transforms it in place.
+    in_place = np.empty(symbols.shape[:-1] + (oversample * symbols.shape[-1],), dtype=complex)
+    assert time_samples(symbols, oversample, in_place).tobytes() == synthesized.tobytes()
     for idx in np.ndindex(symbols.shape[:-1]):
         alone = time_samples(symbols[idx].copy(), oversample)
         assert synthesized[idx].tobytes() == alone.tobytes()
+
+
+@SETTINGS
+@given(batches())
+def test_the_spent_peak_of_a_batch_equals_each_row_alone(batch):
+    batch = np.ascontiguousarray(batch)
+    expected = (np.square(batch.real) + np.square(batch.imag)).max(axis=-1)
+    peaks = spend_peak_power(batch.copy())
+    assert peaks.tobytes() == expected.tobytes()
+    for idx in np.ndindex(batch.shape[:-1]):
+        assert peaks[idx].tobytes() == spend_peak_power(batch[idx].copy()).tobytes()
 
 
 @SETTINGS
@@ -255,11 +296,12 @@ def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, schem
     symbols = random_frame(n, modulation, rng).symbols
     partition = make_partition(n, v, scheme, rng)
     blocks = np.where(partition.block_of == np.arange(v)[:, None], symbols, 0.0)
-    scores = papr_linear(all_factors(w, v) @ time_samples(blocks, oversample))
+    scores = spend_peak_power(all_factors(w, v) @ time_samples(blocks, oversample))
     # Row 0 of the exhaustive sums is the directly synthesized frame.
-    scores[0] = papr_linear(time_samples(symbols, oversample))
+    scores[0] = spend_peak_power(time_samples(symbols, oversample))
     index = pick_min(scores)
-    found = papr_linear(pts_candidates(symbols, partition, w, oversample))
+    block = np.empty((w ** (v - 1), oversample * n), dtype=np.complex128)
+    found = spend_peak_power(pts_candidates(symbols, partition, w, oversample, block))
     assert pick_min(found) == index
     assert found[index].tobytes() == scores[index].tobytes()
 
@@ -282,10 +324,14 @@ def test_row_0_of_every_candidate_block_is_the_unmodified_frame(method, oversamp
     rotations = (np.ones((trials, 1, n), dtype=np.complex128) if method is Method.NONE
                  else np.stack([phase_rotations(m, n, rng) for _ in range(trials)]))
 
+    candidates = {Method.NONE: 1, Method.SLM: m, Method.PTS: w ** (v - 1)}[method]
+
     def block(rows):
+        out = np.empty(symbols[rows].shape[:-1] + (candidates, oversample * n),
+                       dtype=np.complex128)
         if method is Method.PTS:
-            return pts_candidates(symbols[rows], partition, w, oversample)
-        return slm_candidates(symbols[rows], rotations[rows], oversample)
+            return pts_candidates(symbols[rows], partition, w, oversample, out)
+        return slm_candidates(symbols[rows], rotations[rows], oversample, out)
 
     chunk = block(slice(None))
     for t in range(trials):

@@ -137,6 +137,11 @@ def test_ccdf_curve_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             CcdfCurve(np.array([bad]), np.array([0.5]))
+    # The closed form must not see the grid first: it names a bad threshold
+    # "not positive" instead.
+    for bad in ([np.nan], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite 1-D grid"):
+            theoretical_curve(64, bad)
 
 
 def test_constant_frames_have_zero_variance():
