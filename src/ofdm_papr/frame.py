@@ -83,17 +83,9 @@ def check_work(n: int, oversample: int, candidates: int = 1) -> None:
         raise ValueError(f"{candidates} candidates of L*N = {samples} samples exceed 2**24")
 
 
-def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray | None = None
-                 ) -> np.ndarray:
-    """Zero-pad (..., N) spectra at the midpoint to length L*N, into `out` when given.
-
-    Without `out`, L=1 spectra are returned as they are.
-    """
+def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray) -> np.ndarray:
+    """Write (..., N) spectra into (..., L*N) `out`, zero-padded at the midpoint; return it."""
     n = symbols.shape[-1]
-    if out is None:
-        if oversample == 1:
-            return symbols
-        out = np.empty(symbols.shape[:-1] + (oversample * n,), dtype=np.complex128)
     half = n // 2
     tail = oversample * n - (n - half)
     out[..., :half] = symbols[..., :half]
@@ -107,11 +99,15 @@ def time_samples(symbols: np.ndarray, oversample: int = 1, out: np.ndarray | Non
     """Synthesize (..., L*N) time samples from (..., N) complex spectra.
 
     Array-level core of :func:`synthesize`; batches transform in one call.
-    Given `out`, the spectra are padded into it and transformed in place,
-    so the call allocates nothing of its size.  No finiteness scan: the
-    public frames check their symbols and samples, and
-    :func:`~ofdm_papr.dft.inverse_dft` stays the validated transform.
+    The spectra are padded into `out`, a fresh array when none is given,
+    and transformed in place, so a caller that passes its own block
+    allocates nothing of its size.  No finiteness scan: the public frames
+    check their symbols and samples, and :func:`~ofdm_papr.dft.inverse_dft`
+    stays the validated transform.
     """
+    if out is None:
+        out = np.empty(symbols.shape[:-1] + (oversample * symbols.shape[-1],),
+                       dtype=np.complex128)
     return np.fft.ifft(pad_spectrum(symbols, oversample, out), norm="ortho", out=out)
 
 

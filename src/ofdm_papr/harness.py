@@ -49,7 +49,7 @@ _STREAM_METHOD = 1
 _STREAM_PARTITION = 2
 
 # Candidate samples per chunk of trials.  A larger budget was no faster at
-# L=1 and raised the peak RSS by several MiB (ROADMAP item 2).
+# L=1 and raised the peak RSS by several MiB (ROADMAP, Recent).
 _CHUNK_SAMPLES = 2 ** 12
 
 
