@@ -155,8 +155,14 @@ def pick_min(scores: np.ndarray) -> np.ndarray:
 
 
 def is_unit_magnitude(values: np.ndarray) -> bool:
-    """Every |value| within 1e-12 of 1; NaN and inf fail."""
-    return bool((np.abs(np.abs(values) - 1.0) <= 1e-12).all())
+    """Every |value| within 1e-14 of 1; NaN and inf fail.
+
+    Tight enough that a rotated candidate's energy, and so its mean power,
+    differs from the frame's far inside the 1e-12 tie window: the lowest
+    peak power is then the lowest PAPR.  At 1e-12 a candidate could win by
+    its peak and report a PAPR above the unmodified frame's.
+    """
+    return bool((np.abs(np.abs(values) - 1.0) <= 1e-14).all())
 
 
 def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import ofdm_papr
 from ofdm_papr import (
     CcdfCurve,
     ExperimentConfig,
@@ -32,7 +33,6 @@ from ofdm_papr import (
     trial_stream,
     write_result,
 )
-import ofdm_papr
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
 from ofdm_papr.modulation import draw_symbols
@@ -357,7 +357,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.tri
 def test_a_run_does_not_page_fault_every_trial(fields):
     # A run that frees and re-allocates candidate-sized arrays every trial
     # can have the allocator hand them back to the OS and fault them in
-    # again: hundreds of faults per trial, and twice the time.
+    # again: hundreds of faults per trial, and several times the time.
     src = str(Path(ofdm_papr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

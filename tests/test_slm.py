@@ -65,6 +65,11 @@ def test_phase_sequence_validation():
             PhaseSequence([1, bad], 1)
     with pytest.raises(ValueError, match="identity"):
         PhaseSequence([1, -1], 0)
+    # Off unit magnitude by 1e-12, a rotation could win by its peak power
+    # with a PAPR above the unmodified frame's; computed phases still pass.
+    with pytest.raises(ValueError, match="unit magnitude"):
+        PhaseSequence([1, 1 - 1e-12], 1)
+    PhaseSequence(np.exp(1j * np.linspace(0.0, 6.0, 64)), 1)
 
 
 def test_identity_only_returns_original_frame():
@@ -89,6 +94,23 @@ def test_never_worse_than_original():
         freq = random_frame(64, QPSK, rng)
         seqs = generate_phase_sequences(4, 64, rng)
         result = slm_reduce(freq, seqs, 1)
+        assert result.papr.linear <= papr(synthesize(freq, 1)).linear
+
+
+def test_never_worse_at_the_edge_of_unit_magnitude():
+    # Shrink the rotations least where the subcarriers build the peak: the
+    # candidate's peak falls less than its energy, the most a rotation
+    # within the unit-magnitude tolerance can do against the frame.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        freq = random_frame(16, QPSK, rng)
+        samples = synthesize(freq, 1).samples
+        k = np.argmax(np.abs(samples))
+        share = np.real(freq.symbols * np.exp(2j * np.pi * k * np.arange(16) / 16)
+                        * np.conj(samples[k]))
+        shrink = np.where(share > np.median(share), 0.6e-14, 1e-14)
+        sequences = [PhaseSequence(np.ones(16), 0), PhaseSequence(1 - shrink, 1)]
+        result = slm_reduce(freq, sequences, 1)
         assert result.papr.linear <= papr(synthesize(freq, 1)).linear
 
 
