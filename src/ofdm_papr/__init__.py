@@ -1,6 +1,5 @@
 """Baseband OFDM simulation with SLM/PTS PAPR reduction and CCDF experiments."""
 
-from .dft import forward_dft, inverse_dft, is_power_of_two
 from .frame import PaprSample, TimeFrame, papr, papr_linear, synthesize, time_samples
 from .harness import (
     ExperimentConfig,
@@ -12,7 +11,7 @@ from .harness import (
     trial_stream,
     write_result,
 )
-from .modulation import FrequencyFrame, ModulationScheme, map_bits, random_frame
+from .modulation import FrequencyFrame, ModulationScheme, is_power_of_two, map_bits, random_frame
 from .pts import (
     PartitionScheme,
     PhaseVector,
@@ -52,10 +51,8 @@ __all__ = [
     "default_threshold_grid",
     "empirical_ccdf",
     "enumerate_phase_vectors",
-    "forward_dft",
     "gaussianity_stats",
     "generate_phase_sequences",
-    "inverse_dft",
     "is_power_of_two",
     "make_partition",
     "map_bits",

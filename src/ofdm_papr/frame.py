@@ -1,9 +1,10 @@
 """Time-domain OFDM frame synthesis and the peak-to-average power ratio metric.
 
-Oversampling is realised as mid-spectrum zero padding (trigonometric
+Synthesis is one unitary inverse FFT (numpy's, ``norm="ortho"``) of the
+spectrum, oversampled by mid-spectrum zero padding (trigonometric
 interpolation): the N-point spectrum is split at the midpoint and (L-1)*N
-zeros are inserted between the two halves before the inverse transform.
-No renormalisation is applied afterwards; the PAPR is a ratio and does not
+zeros are inserted between the two halves before the transform.  No
+renormalisation is applied afterwards; the PAPR is a ratio and does not
 depend on the overall scale.
 
 A run scores its candidates by the peak alone.  Every frame on the run
@@ -20,7 +21,8 @@ deterministic for any leading batch shape: a frame scored inside a batch
 
 The cores trust their input: :func:`check_work` bounds the size of what a
 call may allocate, and :func:`synthesize`, the SLM and PTS public functions
-and the experiment config call it first.
+and the experiment config call it first.  :func:`synthesize` is the
+validated entry to the transform.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import is_power_of_two
-from .modulation import FrequencyFrame, check_signal, read_only_field
+from .modulation import FrequencyFrame, check_signal, is_power_of_two, read_only_field
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,12 @@ def time_samples(symbols: np.ndarray, oversample: int = 1, out: np.ndarray | Non
                  ) -> np.ndarray:
     """Synthesize (..., L*N) time samples from (..., N) complex spectra.
 
-    Array-level core of :func:`synthesize`; batches transform in one call.
-    The spectra are padded into `out`, a fresh array when none is given,
-    and transformed in place, so a caller that passes its own block
-    allocates nothing of its size.  No finiteness scan: the public frames
-    check their symbols and samples, and :func:`~ofdm_papr.dft.inverse_dft`
-    stays the validated transform.
+    x_n = (1/sqrt(P)) sum_k X_k e^{+j2pi nk/P} over the P = L*N padded bins.
+    Array-level core of :func:`synthesize`; batches transform in one call,
+    each row bitwise equal to that row alone.  The spectra are padded into
+    `out`, a fresh array when none is given, and transformed in place, so
+    a caller that passes its own block allocates nothing of its size.  No
+    size or finiteness check: :func:`synthesize` is the validated entry.
     """
     if out is None:
         out = np.empty(symbols.shape[:-1] + (oversample * symbols.shape[-1],),

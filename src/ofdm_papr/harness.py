@@ -34,9 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dft import is_power_of_two
 from .frame import check_work, pick_min, spend_peak_power
-from .modulation import ModulationScheme, draw_symbols
+from .modulation import ModulationScheme, draw_symbols, is_power_of_two
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
@@ -48,8 +47,9 @@ _STREAM_FRAME = 0
 _STREAM_METHOD = 1
 _STREAM_PARTITION = 2
 
-# Candidate samples per chunk of trials.  A larger budget was no faster at
-# L=1 and raised the peak RSS by several MiB (ROADMAP, Recent).
+# Candidate samples per chunk of trials.  Budgets of 2^18 and 2^20 were no
+# faster at L=8 and raised the peak RSS from 35 to 40 and 55 MiB (ROADMAP,
+# "Measured at this re-anchor").
 _CHUNK_SAMPLES = 2 ** 12
 
 
@@ -84,7 +84,7 @@ def trial_stream(master_seed: int, purpose: int, trial: int | None = None) -> np
     return np.random.default_rng(key)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentConfig:
     """Full description of one Monte-Carlo CCDF experiment."""
 
@@ -138,7 +138,7 @@ class ExperimentConfig:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentResult:
     """Per-trial PAPR samples with the curves derived from them."""
 

@@ -7,13 +7,16 @@ from enum import Enum
 
 import numpy as np
 
-from .dft import is_power_of_two
-
 # Gray-ordered QPSK: adjacent bit pairs map to neighbouring 90-degree points.
 # Indexed by the natural binary value of the bit group.  No part is -0.0 (as
 # in -1.0j), so the identity rotation 1+0j leaves every symbol bit for bit.
 _BPSK_TABLE = np.array([1.0 + 0.0j, -1.0 + 0.0j])
 _QPSK_TABLE = np.array([1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j, -1.0 + 0.0j])  # 00,01,10,11
+
+
+def is_power_of_two(n: int) -> bool:
+    """True when n is 1, 2, 4, 8, ..."""
+    return n >= 1 and (n & (n - 1)) == 0
 
 
 class ModulationScheme(Enum):

@@ -97,6 +97,8 @@ def make_partition(n: int, v_count: int, scheme: PartitionScheme,
     subcarrier k belongs to block k mod V.  PseudoRandom: a seeded uniform
     shuffle of 0..n-1 cut into V consecutive chunks (requires rng).
     """
+    if not isinstance(scheme, PartitionScheme):
+        raise ValueError(f"scheme must be a PartitionScheme, got {scheme!r}")
     if v_count < 1 or n % v_count != 0:
         raise ValueError(f"V={v_count} does not divide N={n}")
     size = n // v_count

@@ -30,7 +30,7 @@ def check_grid(thresholds_db) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcdfCurve:
     """Ascending dB thresholds paired with exceedance probabilities.
 

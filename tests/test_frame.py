@@ -1,4 +1,8 @@
-"""Frame synthesis (with oversampling) and the PAPR metric."""
+"""Frame synthesis (with oversampling), its transform and the PAPR metric.
+
+Batch invariance of the transform is a hypothesis property in
+``test_properties.py``.
+"""
 
 import numpy as np
 import pytest
@@ -11,51 +15,104 @@ from ofdm_papr import (
     papr,
     random_frame,
     synthesize,
+    time_samples,
 )
+from ofdm_papr.frame import pad_spectrum
 
 
-def trig_interpolation_oracle(symbols, oversample):
-    """Direct trigonometric sum at the oversampled instants.
+def direct_synthesis(symbols, oversample=1):
+    """Direct O(L*N^2) trigonometric sum at the L*N instants, over the last axis.
 
     Subcarrier k runs at k cycles per frame for k < N/2 and at k - N cycles
     (the aliased negative frequency) for k >= N/2, which is the unique
-    minimal-bandwidth interpolant of the Nyquist-rate samples.
+    minimal-bandwidth interpolant of the Nyquist-rate samples.  The scale
+    1/sqrt(L*N) is the unitary transform's; at L=1 this is the inverse DFT
+    sum, independent of the FFT factorisation.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    n = symbols.size
-    total = oversample * n
-    t = np.arange(total) / total
-    out = np.zeros(total, dtype=complex)
-    for k in range(n):
-        cycles = k if k < n // 2 else k - n
-        out += symbols[k] * np.exp(2j * np.pi * cycles * t)
-    return out / np.sqrt(n)
+    n = symbols.shape[-1]
+    k = np.arange(n)
+    cycles = np.where(k < n // 2, k, k - n)
+    t = np.arange(oversample * n) / (oversample * n)
+    return symbols @ np.exp(2j * np.pi * np.outer(cycles, t)) / np.sqrt(oversample * n)
 
 
 def test_reduces_to_plain_transform_at_l1():
+    # the all-ones spectrum gives an impulse
     frame = synthesize(FrequencyFrame([1, 1, 1, 1]), 1)
     assert_allclose(frame.samples, [2, 0, 0, 0], atol=1e-15)
     assert frame.oversample == 1
     assert frame.n_subcarriers == 4
 
 
+def test_second_bin_gives_frozen_samples():
+    symbols = np.array([0, 1, 0, 0], dtype=complex)
+    expected = [0.5, 0.5j, -0.5, -0.5j]
+    assert_allclose(direct_synthesis(symbols), expected, atol=1e-15)
+    assert_allclose(time_samples(symbols), expected, atol=1e-15)
+
+
+def test_length_one_is_identity():
+    assert_allclose(time_samples(np.array([3 + 4j])), [3 + 4j])
+
+
 @pytest.mark.parametrize("tone", [0, 1, 2, 3])
 def test_single_tone_stays_constant_envelope_when_oversampled(tone):
     symbols = np.zeros(4, dtype=complex)
     symbols[tone] = 1.0
-    frame = synthesize(FrequencyFrame(symbols), 2)
-    mags = np.abs(frame.samples)
-    assert frame.samples.size == 8
-    assert_allclose(mags, mags[0], rtol=1e-12)
+    for oversample in (1, 2, 8):
+        samples = time_samples(symbols, oversample)
+        assert samples.size == 4 * oversample
+        assert_allclose(np.abs(samples), 1 / np.sqrt(4 * oversample), rtol=1e-12)
 
 
-def test_matches_direct_trigonometric_sum():
-    rng = np.random.default_rng(2024)
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+def test_matches_direct_trigonometric_sum(oversample, n):
+    rng = np.random.default_rng(2024 + 100 * oversample + n)
+    symbols = rng.normal(size=(20, n)) + 1j * rng.normal(size=(20, n))
+    fast = time_samples(symbols, oversample)
+    assert np.abs(fast - direct_synthesis(symbols, oversample)).max() < 1e-9
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+def test_synthesize_matches_direct_trigonometric_sum(oversample):
+    rng = np.random.default_rng(2024 + oversample)
     freq = random_frame(64, ModulationScheme.QPSK, rng)
-    frame = synthesize(freq, 8)
-    oracle = trig_interpolation_oracle(freq.symbols, 8)
-    # unitary transform of the padded spectrum scales by 1/sqrt(L)
-    assert np.abs(frame.samples * np.sqrt(8) - oracle).max() < 1e-9
+    frame = synthesize(freq, oversample)
+    assert np.abs(frame.samples - direct_synthesis(freq.symbols, oversample)).max() < 1e-9
+
+
+@pytest.mark.parametrize("p", [1, 2, 16, 256, 4096])
+def test_round_trip_up_to_4096(p):
+    # The transform is unitary: the forward FFT of the samples gives back
+    # the padded spectrum, at the Nyquist rate and oversampled.
+    rng = np.random.default_rng(p)
+    x = rng.normal(size=p) + 1j * rng.normal(size=p)
+    for oversample in (1, 2):
+        padded = pad_spectrum(x, oversample, np.empty(oversample * p, dtype=complex))
+        forward = np.fft.fft(time_samples(x, oversample), norm="ortho")
+        assert np.abs(forward - padded).max() < 1e-10
+
+
+@pytest.mark.parametrize("p", [2, 8, 64, 1024])
+def test_parseval(p):
+    rng = np.random.default_rng(p + 1)
+    x = rng.normal(size=p) + 1j * rng.normal(size=p)
+    e_freq = np.sum(np.abs(x) ** 2)
+    for oversample in (1, 4):
+        e_time = np.sum(np.abs(time_samples(x, oversample)) ** 2)
+        assert abs(e_time - e_freq) / e_freq < 1e-10
+
+
+def test_linearity():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=128) + 1j * rng.normal(size=128)
+    y = rng.normal(size=128) + 1j * rng.normal(size=128)
+    a, b = 1.3 - 0.4j, -0.2 + 2.1j
+    lhs = time_samples(a * x + b * y)
+    rhs = a * time_samples(x) + b * time_samples(y)
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_nyquist_instants_survive_oversampling():
@@ -135,6 +192,18 @@ def test_oversample_product_must_be_power_of_two():
         synthesize(freq, 3)
     with pytest.raises(ValueError, match=">= 1"):
         synthesize(freq, 0)
+
+
+@pytest.mark.parametrize("bad", [[1, 2, 3], [1] * 5, [1] * 12])
+def test_non_power_of_two_rejected(bad):
+    with pytest.raises(ValueError, match="power of two"):
+        synthesize(FrequencyFrame(bad), 1)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0], [np.inf, 0], [0, complex(0, np.inf)]])
+def test_non_finite_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        synthesize(FrequencyFrame(bad), 2)
 
 
 def test_time_frame_sample_count_consistency():

@@ -12,6 +12,7 @@ from ofdm_papr import (
     PhaseVector,
     SubBlockPartition,
     TimeFrame,
+    is_power_of_two,
     map_bits,
     random_frame,
 )
@@ -118,3 +119,7 @@ def test_array_wrappers_hold_a_read_only_copy(cls, field, value, rest):
     assert_array_equal(stored, value)
     with pytest.raises(AttributeError):
         setattr(obj, field, given)
+
+
+def test_is_power_of_two():
+    assert [n for n in range(-2, 17) if is_power_of_two(n)] == [1, 2, 4, 8, 16]

@@ -7,8 +7,9 @@ drifting apart, and hold the run path to its guarantees:
 * each trial's side information equals the index the public functions
   return from the trial's streams, in any trial order, and its sample
   equals, bit for bit, 10 log10(L max|x|^2) of the frame they return;
-* one trial per chunk gives the bytes of the default chunks, though the
-  run reuses one candidate block across its chunks;
+* any chunk size, one trial per chunk and a ragged last chunk included,
+  gives the bytes of the default chunks, though the run reuses one
+  candidate block across its chunks;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
 * a run without reduction gives the bytes of SLM with the identity
   candidate alone (M=1);
@@ -42,6 +43,7 @@ from functools import cache
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,7 +56,6 @@ from ofdm_papr import (
     PhaseSequence,
     enumerate_phase_vectors,
     generate_phase_sequences,
-    inverse_dft,
     make_partition,
     papr,
     pts_reduce,
@@ -135,16 +136,36 @@ def test_each_trial_matches_the_public_functions(config_and_order):
     assert side_info.tobytes() == result.side_info.tobytes()
 
 
+@pytest.mark.parametrize("modulation", list(ModulationScheme))
+@pytest.mark.parametrize("oversample", [1, 2, 8])
+@pytest.mark.parametrize("method", list(Method))
 @SETTINGS
-@given(configs())
-def test_one_trial_per_chunk_changes_no_byte(config):
-    # The run reuses one candidate block across its chunks; a budget of one
-    # sample makes every trial a chunk of its own.
-    default = run_experiment(config)
-    with mock.patch.object(harness, "_CHUNK_SAMPLES", 1):
-        alone = run_experiment(config)
-    assert alone.samples_db.tobytes() == default.samples_db.tobytes()
-    assert alone.side_info.tobytes() == default.side_info.tobytes()
+@given(configs(), st.integers(2, 6))
+def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, drawn):
+    # run_experiment searches its trials in chunks of T, sized from a private
+    # budget of candidate samples, and reuses one candidate block across
+    # them.  T=1 and a drawn T must give the bytes of the default T; more
+    # trials than the drawn T make two chunks or more, the last often ragged.
+    config = replace(config, method=method, oversample=oversample, modulation=modulation,
+                     trials=config.trials + drawn)
+    chunks = []
+
+    def counted(block, score=harness.spend_peak_power):
+        chunks.append(len(block))
+        return score(block)
+
+    with mock.patch.object(harness, "spend_peak_power", counted):
+        default = run_experiment(config)
+        assert sum(chunks) == config.trials
+        for rows in (1, drawn):
+            budget = rows * harness._candidates(config) * config.oversample * config.n_subcarriers
+            chunks.clear()
+            with mock.patch.object(harness, "_CHUNK_SAMPLES", budget):
+                result = run_experiment(config)
+            full, ragged = divmod(config.trials, rows)
+            assert chunks == [rows] * full + [ragged] * (ragged > 0)
+            assert result.samples_db.tobytes() == default.samples_db.tobytes()
+            assert result.side_info.tobytes() == default.side_info.tobytes()
 
 
 @SETTINGS
@@ -194,9 +215,6 @@ def batches(draw):
 @SETTINGS
 @given(batches(), st.sampled_from([1, 2, 4, 8]))
 def test_a_batched_transform_equals_each_row_alone(batch, oversample):
-    transformed = inverse_dft(batch)
-    for idx in np.ndindex(batch.shape[:-1]):
-        assert transformed[idx].tobytes() == inverse_dft(batch[idx].copy()).tobytes()
     symbols = batch[..., :max(1, batch.shape[-1] // oversample)]
     synthesized = time_samples(symbols, oversample)
     # The run pads into its candidate block and transforms it in place.

@@ -77,6 +77,11 @@ def test_partition_divisibility():
 def test_partition_type_validation():
     with pytest.raises(ValueError, match="disjoint"):
         SubBlockPartition([0, 0, 0, 1], 2, PartitionScheme.ADJACENT)
+    # A scheme's value is not a scheme: with an rng, "adjacent" would build
+    # a shuffled partition labelled adjacent.
+    for rng in (None, np.random.default_rng(1)):
+        with pytest.raises(ValueError, match="must be a PartitionScheme"):
+            make_partition(8, 2, "adjacent", rng)
 
 
 def test_enumeration_counts():
