@@ -7,6 +7,7 @@ from .harness import (
     Method,
     default_threshold_grid,
     run_experiment,
+    run_experiments,
     threshold_grid,
     trial_stream,
     write_result,
@@ -61,6 +62,7 @@ __all__ = [
     "pts_reduce",
     "random_frame",
     "run_experiment",
+    "run_experiments",
     "slm_reduce",
     "synthesize",
     "theoretical_ccdf_original",

@@ -14,7 +14,7 @@ from pathlib import Path
 from .harness import (
     ExperimentConfig,
     Method,
-    run_experiment,
+    run_experiments,
     threshold_grid,
     write_result,
 )
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--compare", action="append", choices=["none", "slm", "pts"],
                    metavar="METHOD",
                    help="repeatable: run several methods on shared seeds, "
-                        "one output per method")
+                        "one output per method; none and slm share one search")
     return p
 
 
@@ -113,8 +113,7 @@ def cli_main(argv=None) -> int:
         return 1
 
     try:
-        for config in configs:
-            result = run_experiment(config, analytic=args.analytic)
+        for config, result in zip(configs, run_experiments(configs, analytic=args.analytic)):
             if args.out is None:
                 write_result(result, args.format, sys.stdout)
             elif args.compare:

@@ -15,7 +15,10 @@ results are also chunk-independent: the chunk size changes no byte.  The
 methods differ only in what ``slm_candidates`` or ``pts_candidates`` writes
 into the run's one candidate block, whose row 0 is the unmodified frame, and
 share one scoring, L*max|x|^2 in place, and one pick; a run without
-reduction is SLM with that identity candidate alone.
+reduction is SLM with that identity candidate alone.  A trial's SLM
+candidates at M are the first M of its candidates at any larger M, so
+none and SLM runs on shared frames share one search at their largest M,
+each picking from its own prefix of the scores (``run_experiments``).
 
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
@@ -151,65 +154,93 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, analytic: bool = False) -> ExperimentResult:
-    """Run the configured trials and collect the empirical CCDF.
+    """Run the configured trials and collect the empirical CCDF: a search of its own."""
+    return run_experiments([config], analytic)[0]
+
+
+def run_experiments(configs: list[ExperimentConfig],
+                    analytic: bool = False) -> list[ExperimentResult]:
+    """Run every config and collect its empirical CCDF; results in input order.
 
     Identical configs produce identical samples regardless of execution
     order and chunk size because each trial's streams derive only from
-    (master_seed, purpose, trial).  The analytic curve is attached for the
+    (master_seed, purpose, trial).  A trial's SLM candidates at M are the
+    first M of its candidates at any M' >= M, and none is the M=1 prefix.
+    So none and SLM configs that agree on N, modulation, L, trials and
+    master_seed share one search at their largest M, and each picks from
+    its own prefix of the candidate scores: the bytes of a run of its own.
+    A PTS config searches alone.  The analytic curve is attached for the
     methods with a closed form (none and slm); a PTS run never carries one.
     """
-    config.validate()
-    n, oversample, seed = config.n_subcarriers, config.oversample, config.master_seed
-    m, v = config.slm_branches, config.pts_blocks
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        config.validate()
+        key = ((i,) if config.method is Method.PTS else
+               (config.n_subcarriers, config.modulation, config.oversample, config.trials,
+                config.master_seed))
+        groups.setdefault(key, []).append(i)
+    results = [None] * len(configs)
+    for members in groups.values():
+        for i, result in zip(members, _search([configs[i] for i in members], analytic)):
+            results[i] = result
+    return results
+
+
+def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentResult]:
+    """One chunk loop over the trials the members share, sized by their largest C."""
+    lead = max(members, key=_candidates)
+    n, oversample, seed = lead.n_subcarriers, lead.oversample, lead.master_seed
+    trials, c = lead.trials, _candidates(lead)
     started = time.perf_counter()
 
     partition = None
-    if config.method is Method.PTS:
-        partition = make_partition(n, v, config.partition_scheme,
+    if lead.method is Method.PTS:
+        partition = make_partition(n, lead.pts_blocks, lead.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
-    c = _candidates(config)
-    rows = max(1, min(config.trials, _CHUNK_SAMPLES // (c * oversample * n)))
+    rows = max(1, min(trials, _CHUNK_SAMPLES // (c * oversample * n)))
 
-    # One set of chunk rows and one candidate block for the whole run: the
+    # One set of chunk rows and one candidate block for the whole search: the
     # chunks reuse them, so a trial allocates no candidate-sized array.
-    # SLM's candidate 0 is the unmodified frame, so none searches that one alone.
+    # SLM's candidate 0 is the unmodified frame, so none picks from that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
-    rotations = (None if config.method is Method.PTS
+    rotations = (None if lead.method is Method.PTS
                  else np.ones((rows, c, n), dtype=np.complex128))
     block = np.empty((rows, c, oversample * n), dtype=np.complex128)
-    linear = np.empty(config.trials, dtype=np.float64)
-    side_info = np.zeros(config.trials, dtype=np.int64)
-    for start in range(0, config.trials, rows):
-        stop = min(start + rows, config.trials)
+    picks = [(_candidates(config), np.empty(trials), np.empty(trials, dtype=np.int64))
+             for config in members]
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
         for i, t in enumerate(range(start, stop)):
-            symbols[i] = draw_symbols(n, config.modulation, trial_stream(seed, _STREAM_FRAME, t))
-            if config.method is Method.SLM:
-                rotations[i] = phase_rotations(m, n, trial_stream(seed, _STREAM_METHOD, t))
+            symbols[i] = draw_symbols(n, lead.modulation, trial_stream(seed, _STREAM_FRAME, t))
+            if lead.method is Method.SLM:
+                rotations[i] = phase_rotations(c, n, trial_stream(seed, _STREAM_METHOD, t))
         k = stop - start
-        if config.method is Method.PTS:
-            pts_candidates(symbols[:k], partition, config.pts_phase_order, oversample, block[:k])
+        if lead.method is Method.PTS:
+            pts_candidates(symbols[:k], partition, lead.pts_phase_order, oversample, block[:k])
         else:
             slm_candidates(symbols[:k], rotations[:k], oversample, block[:k])
         # Every frame here has energy N (Parseval), so its PAPR is L*max|x|^2.
         scores = oversample * spend_peak_power(block[:k])
-        side_info[start:stop] = index = pick_min(scores)
-        linear[start:stop] = scores[np.arange(k), index]
-    # PaprSample.db's expression: np.log10 can be an ulp away from it.
-    samples_db = np.array([10.0 * math.log10(score) for score in linear.tolist()])
+        for width, samples_db, side_info in picks:
+            side_info[start:stop] = index = pick_min(scores[:, :width])
+            # PaprSample.db's expression: np.log10 can be an ulp away from it.
+            samples_db[start:stop] = [10.0 * math.log10(score)
+                                      for score in scores[np.arange(k), index].tolist()]
+    searched = time.perf_counter() - started
 
-    empirical = empirical_ccdf(samples_db, config.thresholds_db)
-    analytic_curve = None
-    if analytic and config.method is not Method.PTS:
-        analytic_curve = theoretical_curve(n, config.thresholds_db, c)
-
-    return ExperimentResult(
-        config=config,
-        empirical=empirical,
-        analytic=analytic_curve,
-        samples_db=samples_db,
-        side_info=side_info,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    results = []
+    for config, (width, samples_db, side_info) in zip(members, picks):
+        started = time.perf_counter()
+        results.append(ExperimentResult(
+            config=config,
+            empirical=empirical_ccdf(samples_db, config.thresholds_db),
+            analytic=(theoretical_curve(n, config.thresholds_db, width)
+                      if analytic and config.method is not Method.PTS else None),
+            samples_db=samples_db,
+            side_info=side_info,
+            elapsed_seconds=searched + time.perf_counter() - started,
+        ))
+    return results
 
 
 def _candidates(config: ExperimentConfig) -> int:
@@ -226,7 +257,9 @@ def write_result(result: ExperimentResult, format: str, destination) -> None:
 
     destination is a path or an open text sink.  CSV carries the header
     ``papr_db,ccdf`` and one 6-decimal row per threshold; JSON carries the
-    config echo, curves, samples, and timing.
+    config echo, curves, samples, and timing: ``elapsed_seconds`` is the
+    wall time of the search that produced the result, which every result
+    of a shared search reports in full, plus the result's own CCDF.
     """
     fmt = str(format).lower()
     if fmt not in ("csv", "json"):

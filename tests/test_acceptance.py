@@ -19,6 +19,8 @@ plotting, but it is not compatible with a 3-standard-error band at this
 sample size, so the check is implemented exactly as stated and left red.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from ofdm_papr import (
     pts_reduce,
     random_frame,
     run_experiment,
+    run_experiments,
     slm_reduce,
     synthesize,
     theoretical_ccdf_original,
@@ -65,34 +68,36 @@ def _papr0_at(samples_db: np.ndarray, ccdf: float = 1e-2) -> float:
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="session")
-def baseline_nyquist():
-    """Unmodified OFDM, N=64, QPSK, L=1, 1e5 frames."""
-    return run_experiment(ExperimentConfig(
-        n_subcarriers=64, oversample=1, method=Method.NONE,
-        trials=100_000, master_seed=ACCEPT_SEED, thresholds_db=GRID))
+def nyquist_runs():
+    """Unmodified OFDM and SLM at M=2 and M=4, N=64, QPSK, L=1, 1e5 frames: one search."""
+    base = ExperimentConfig(n_subcarriers=64, oversample=1, method=Method.NONE,
+                            trials=100_000, master_seed=ACCEPT_SEED, thresholds_db=GRID)
+    return run_experiments([base] + [replace(base, method=Method.SLM, slm_branches=m)
+                                     for m in (2, 4)])
 
 
 @pytest.fixture(scope="session")
-def slm_nyquist():
+def baseline_nyquist(nyquist_runs):
+    """Unmodified OFDM, N=64, QPSK, L=1, 1e5 frames."""
+    return nyquist_runs[0]
+
+
+@pytest.fixture(scope="session")
+def slm_nyquist(nyquist_runs):
     """SLM at M=2 and M=4 on the same seeds as the baseline."""
-    out = {}
-    for m in (2, 4):
-        out[m] = run_experiment(ExperimentConfig(
-            n_subcarriers=64, oversample=1, method=Method.SLM, slm_branches=m,
-            trials=100_000, master_seed=ACCEPT_SEED, thresholds_db=GRID))
-    return out
+    return dict(zip((2, 4), nyquist_runs[1:]))
 
 
 @pytest.fixture(scope="session")
 def slm_sweep():
-    """SLM candidate-count sweep, L=8, 1e4 trials, N in {64, 128}."""
+    """SLM candidate-count sweep, L=8, 1e4 trials, N in {64, 128}: one search per N."""
     out = {}
+    ms = (1, 2, 4, 8, 16)
     for n in (64, 128):
-        for m in (1, 2, 4, 8, 16):
-            result = run_experiment(ExperimentConfig(
-                n_subcarriers=n, oversample=8, method=Method.SLM, slm_branches=m,
-                trials=10_000, master_seed=ACCEPT_SEED, thresholds_db=GRID))
-            out[(n, m)] = result.samples_db
+        results = run_experiments([ExperimentConfig(
+            n_subcarriers=n, oversample=8, method=Method.SLM, slm_branches=m,
+            trials=10_000, master_seed=ACCEPT_SEED, thresholds_db=GRID) for m in ms])
+        out.update({(n, m): result.samples_db for m, result in zip(ms, results)})
     return out
 
 

@@ -4,9 +4,11 @@ import json
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from ofdm_papr import harness
 from ofdm_papr.cli import cli_main
 
 BASE = ["--n", "16", "--oversample", "1", "--trials", "20",
@@ -87,10 +89,20 @@ def test_usage_errors_exit_1(argv, capsys):
 
 
 def test_compare_writes_one_file_per_method(tmp_path):
+    # none and slm share one search at SLM's M=4; PTS (W^(V-1) = 8) searches alone.
+    # Each chunk scores one (trials, candidates, L*N) block.
     out = tmp_path / "fig.csv"
-    code = cli_main(BASE + ["--n", "64", "--compare", "none", "--compare", "slm",
-                            "--compare", "pts", "--pts-w", "2", "--out", str(out)])
+    widths = []
+
+    def counted(block, score=harness.spend_peak_power):
+        widths.append(block.shape[-2])
+        return score(block)
+
+    with mock.patch.object(harness, "spend_peak_power", counted):
+        code = cli_main(BASE + ["--n", "64", "--compare", "none", "--compare", "slm",
+                                "--compare", "pts", "--pts-w", "2", "--out", str(out)])
     assert code == 0
+    assert set(widths) == {4, 8}    # no search of none's width 1
     for method in ("none", "slm", "pts"):
         path = tmp_path / f"fig_{method}.csv"
         assert path.exists()

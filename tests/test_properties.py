@@ -14,6 +14,9 @@ drifting apart, and hold the run path to its guarantees:
 * a run without reduction gives the bytes of SLM with the identity
   candidate alone (M=1);
 * a K-trial run is the first K trials of a longer run;
+* none and SLM configs searched together, with a PTS config and a config
+  of another seed among them, give each config, in input order, the
+  samples, side information and CSV bytes of its own run;
 * every row of a batched transform equals, bit for bit, that row
   transformed alone, whatever the batch shape and memory layout (the
   never-worse guarantees compare a batched candidate with a lone frame),
@@ -37,6 +40,7 @@ The random run configs limit V to W^V <= 256 to keep each example fast;
 the orbit property alone goes up to W^V = 4^8.
 """
 
+import io
 import math
 from dataclasses import replace
 from functools import cache
@@ -61,11 +65,13 @@ from ofdm_papr import (
     pts_reduce,
     random_frame,
     run_experiment,
+    run_experiments,
     slm_reduce,
     synthesize,
     threshold_grid,
     time_samples,
     trial_stream,
+    write_result,
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
@@ -193,6 +199,53 @@ def test_a_shorter_run_is_a_prefix(config, k):
     short = run_experiment(replace(config, trials=k))
     assert short.samples_db.tobytes() == full.samples_db[:k].tobytes()
     assert short.side_info.tobytes() == full.side_info[:k].tobytes()
+
+
+@st.composite
+def shared_searches(draw):
+    """(configs, chunk rows): none and SLM at several M, a PTS config and another seed.
+
+    Trials leave a ragged last chunk of the shared search; one member
+    carries its own threshold grid.
+    """
+    rows = draw(st.integers(2, 4))
+    base = replace(draw(configs()), modulation=draw(st.sampled_from(ModulationScheme)),
+                   oversample=draw(st.sampled_from([1, 2, 8])),
+                   trials=rows * draw(st.integers(1, 3)) + draw(st.integers(1, rows - 1)))
+    ms = draw(st.lists(st.integers(1, 8), min_size=2, max_size=4))
+    members = [replace(base, method=Method.NONE),
+               replace(base, method=Method.PTS),
+               replace(base, method=Method.SLM, slm_branches=ms[0],
+                       master_seed=(base.master_seed + 1) % 2 ** 64),
+               replace(base, method=Method.SLM, slm_branches=ms[0],
+                       thresholds_db=threshold_grid(1.0, 9.0, 0.25))]
+    members += [replace(base, method=Method.SLM, slm_branches=m) for m in ms[1:]]
+    return draw(st.permutations(members)), rows
+
+
+def csv_bytes(result):
+    sink = io.StringIO()
+    write_result(result, "csv", sink)
+    return sink.getvalue()
+
+
+@SETTINGS
+@given(shared_searches(), st.booleans())
+def test_a_shared_search_gives_each_config_its_own_run(configs_and_rows, analytic):
+    configs, rows = configs_and_rows
+    widest = max(c.slm_branches for c in configs if c.method is Method.SLM)
+    budget = rows * widest * configs[0].oversample * configs[0].n_subcarriers
+    with mock.patch.object(harness, "_CHUNK_SAMPLES", budget):
+        results = run_experiments(configs, analytic)
+    assert [result.config for result in results] == configs
+    for config, result in zip(configs, results):
+        alone = run_experiment(config, analytic)
+        assert result.samples_db.tobytes() == alone.samples_db.tobytes()
+        assert result.side_info.tobytes() == alone.side_info.tobytes()
+        assert csv_bytes(result) == csv_bytes(alone)
+        curves = [r.analytic.probabilities.tobytes() for r in (result, alone)
+                  if r.analytic is not None]
+        assert len(curves) in (0, 2) and curves[:1] == curves[1:]
 
 
 @st.composite
