@@ -8,6 +8,17 @@ partition shuffle.  Streams are therefore order-independent: results do
 not depend on how trials are scheduled, and different methods run under
 the same master seed consume identical per-trial data frames.
 
+The rule is ``trial_stream``, ``np.random.default_rng([seed, purpose,
+trial])``, and it is unchanged.  The run draws the same bytes without
+building a generator per trial, by mirroring three numpy internals:
+the SeedSequence pool hash, on uint32 lanes for a block of trials at once
+(``_seed_words``); PCG64's seeding step, per trial on Python ints
+(``_pcg64_states``); and the 32-bit Lemire draw of ``Generator.integers``,
+which for a power-of-two alphabet of 2^b symbols never rejects and keeps
+the top b bits of each 32-bit output word (``_trial_draws``).
+``test_the_block_draws_equal_trial_stream`` in tests/test_properties.py
+pins the three to numpy's own, byte for byte.
+
 Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
@@ -38,12 +49,12 @@ from pathlib import Path
 import numpy as np
 
 from .frame import check_work, pick_min, spend_peak_power
-from .modulation import ModulationScheme, draw_symbols, is_power_of_two
+from .modulation import ModulationScheme, is_power_of_two
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
 from .pts import PartitionScheme, make_partition, pts_candidates
-from .slm import phase_rotations, slm_candidates
+from .slm import PHASE_ALPHABET, slm_candidates
 from .stats import CcdfCurve, check_grid, empirical_ccdf, theoretical_curve
 
 _STREAM_FRAME = 0
@@ -54,6 +65,18 @@ _STREAM_PARTITION = 2
 # faster at L=8 and raised the peak RSS from 35 to 40 and 55 MiB (ROADMAP,
 # "Measured at this re-anchor").
 _CHUNK_SAMPLES = 2 ** 12
+
+# Trials whose stream keys one `_seed_words` pass derives.  Sized apart from
+# the chunk, which holds one trial at L=8: a pass over one trial costs about
+# 0.1 ms, over 2^12 trials about 0.3 ms (2 vCPUs, numpy 2.4.6).
+_KEY_BLOCK = 2 ** 12
+
+# numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding step (pcg64.h), which the run path mirrors (tests/test_properties.py,
+# test_the_block_draws_equal_trial_stream, pins them to numpy's).
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 class Method(Enum):
@@ -82,9 +105,97 @@ def threshold_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def trial_stream(master_seed: int, purpose: int, trial: int | None = None) -> np.random.Generator:
-    """The documented mixing rule behind every random draw of a run."""
+    """The documented mixing rule behind every random draw of a run.
+
+    Trial t's frame symbols are ``draw_symbols(N, modulation,
+    trial_stream(seed, 0, t))`` and its SLM rotations ``phase_rotations(M,
+    N, trial_stream(seed, 1, t))``; the PTS partition draws from
+    ``trial_stream(seed, 2)``.  The run calls this only for the partition:
+    it derives the per-trial streams a block of trials at a time, with the
+    same bytes (see the module docstring).
+    """
     key = [master_seed, purpose] if trial is None else [master_seed, purpose, trial]
     return np.random.default_rng(key)
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of the first `count` hashmix steps: h_k, h_(k+1) = h_k*mult."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    column = np.array(h, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+_IN_XOR, _IN_MUL = _hash_steps(0x43B0D7E5, 0x931E8875, 16)   # INIT_A, MULT_A: entropy in
+_OUT_XOR, _OUT_MUL = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)   # INIT_B, MULT_B: state out
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """One hash step per row: xor in h_k, multiply by h_(k+1), fold the top half down."""
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _seed_words(master_seed: int, purpose: int, trials: np.ndarray) -> np.ndarray:
+    """SeedSequence([master_seed, purpose, t]).generate_state(4, np.uint64) per t: (T, 4).
+
+    The pool hash on uint32 lanes, one lane per trial.  The entropy words
+    (the seed's one or two 32-bit words, the purpose, t; then zeros up to
+    the pool size 4) are hashed in, each pool word is mixed into the other
+    three, and the pool is hashed out twice over as 8 words, low word first.
+    """
+    entropy = [master_seed & 0xFFFFFFFF, master_seed >> 32][:1 + (master_seed >= 2 ** 32)]
+    pool = np.zeros((4, trials.size), dtype=np.uint32)
+    for i, word in enumerate(entropy + [purpose, trials]):
+        pool[i] = word
+    with np.errstate(over="ignore"):
+        pool = _hashmix(pool, _IN_XOR[:4], _IN_MUL[:4])
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            steps = slice(4 + 3 * src, 7 + 3 * src)
+            mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _IN_XOR[steps],
+                                                          _IN_MUL[steps])
+            pool[dst] = mixed ^ (mixed >> 16)
+        words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MUL)
+    return np.ascontiguousarray(words.T).astype("<u4", copy=False).view("<u8")
+
+
+def _pcg64_states(master_seed: int, purpose: int, trials: range):
+    """Yield the PCG64 (state, inc) of ``trial_stream(master_seed, purpose, t)`` per t in trials.
+
+    Keys are derived `_KEY_BLOCK` trials at a time; per trial, PCG64's seeding
+    step takes initstate and initseq from the key's first and last 128 bits.
+    """
+    for first in range(trials.start, trials.stop, _KEY_BLOCK):
+        block = np.arange(first, min(first + _KEY_BLOCK, trials.stop), dtype=np.uint32)
+        for key in _seed_words(master_seed, purpose, block):
+            state_hi, state_lo, seq_hi, seq_lo = key.tolist()
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            yield ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _trial_draws(master_seed: int, purpose: int, trials: range, rows: int, table: np.ndarray,
+                 count: int):
+    """Yield, per chunk of `rows` trials, a (k, count) array whose row for trial t is
+    ``table[trial_stream(master_seed, purpose, t).integers(0, table.size, count)]``.
+
+    One PCG64 takes each trial's state in turn.  For a table of 2^b entries
+    ``integers`` is the 32-bit Lemire draw, which never rejects: index i is
+    the top b bits of 32-bit word i of the raw output, low half first.
+    """
+    states, bitgen = _pcg64_states(master_seed, purpose, trials), np.random.PCG64(0)
+    raw = np.empty((rows, (count + 1) // 2), dtype=np.uint64)
+    bits = table.size.bit_length() - 1
+    for start in range(trials.start, trials.stop, rows):
+        k = min(rows, trials.stop - start)
+        for i in range(k):
+            state, inc = next(states)
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            raw[i] = bitgen.random_raw(raw.shape[1])
+        words = raw[:k].astype("<u8", copy=False).view("<u4")[:, :count]
+        yield table[words >> (32 - bits)]
 
 
 @dataclass(eq=False)
@@ -208,13 +319,16 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
     block = np.empty((rows, c, oversample * n), dtype=np.complex128)
     picks = [(_candidates(config), np.empty(trials), np.empty(trials, dtype=np.int64))
              for config in members]
+    frames = _trial_draws(seed, _STREAM_FRAME, range(trials), rows,
+                          lead.modulation.symbol_table, n)
+    phases = (_trial_draws(seed, _STREAM_METHOD, range(trials), rows, PHASE_ALPHABET, (c - 1) * n)
+              if lead.method is Method.SLM and c > 1 else None)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
-        for i, t in enumerate(range(start, stop)):
-            symbols[i] = draw_symbols(n, lead.modulation, trial_stream(seed, _STREAM_FRAME, t))
-            if lead.method is Method.SLM:
-                rotations[i] = phase_rotations(c, n, trial_stream(seed, _STREAM_METHOD, t))
         k = stop - start
+        symbols[:k] = next(frames)
+        if phases is not None:
+            rotations[:k, 1:] = next(phases).reshape(k, c - 1, n)
         if lead.method is Method.PTS:
             pts_candidates(symbols[:k], partition, lead.pts_phase_order, oversample, block[:k])
         else:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ def test_trial_streams_are_purpose_separated():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("method", list(Method))
+def test_a_run_builds_no_generator_per_trial(method):
+    # A run derives its per-trial streams a block of trials at a time: it
+    # calls trial_stream once, for the PTS partition alone, and builds as
+    # many generators for 600 trials, over several chunks and key blocks, as
+    # for one.
+    built = []
+    for trials in (1, 600):
+        config = ExperimentConfig(n_subcarriers=16, oversample=1, method=method, trials=trials)
+        with (mock.patch.object(harness, "trial_stream", wraps=trial_stream) as streams,
+              mock.patch.object(np.random, "PCG64", wraps=np.random.PCG64) as generators,
+              mock.patch.object(harness, "_KEY_BLOCK", 256)):
+            run_experiment(config)
+        assert streams.call_count == (method is Method.PTS)
+        built.append(generators.call_count)
+    assert built[0] == built[1]
+
+
 def test_default_threshold_grid_shape():
     grid = default_threshold_grid()
     assert grid[0] == 0.0
@@ -311,6 +330,15 @@ def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modula
         assert 0 < np.count_nonzero(chunk[0] == 0) < trials
 
 
+def fresh_interpreter(code, *args):
+    """stdout of `code` run by a fresh interpreter that imports this package."""
+    src = str(Path(ofdm_papr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
 # Runs one config in a fresh interpreter, after a 20-trial warm-up, and
 # prints its minor page faults per trial.
 FAULT_PROBE = """
@@ -337,9 +365,27 @@ def test_a_run_does_not_page_fault_every_trial(fields):
     # A run that frees and re-allocates candidate-sized arrays every trial
     # can have the allocator hand them back to the OS and fault them in
     # again: hundreds of faults per trial, and several times the time.
-    src = str(Path(ofdm_papr.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = subprocess.run([sys.executable, "-c", FAULT_PROBE, json.dumps(fields)],
-                           capture_output=True, text=True, env=env, check=True)
-    assert float(probe.stdout) < 5
+    assert float(fresh_interpreter(FAULT_PROBE, json.dumps(fields))) < 5
+
+
+# Runs N=16, L=1 none in a fresh interpreter and prints its peak RSS above
+# the import-only peak, in bytes per trial (Linux reports ru_maxrss in KiB).
+RSS_PROBE = """
+import resource, sys
+from ofdm_papr import ExperimentConfig, Method, run_experiment
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+config = ExperimentConfig(n_subcarriers=16, oversample=1, method=Method.NONE,
+                          trials=int(sys.argv[1]))
+run_experiment(config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / config.trials)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_a_run_holds_a_bounded_number_of_bytes_per_trial():
+    # A run keeps samples_db and side_info, 16 B per trial, and empirical_ccdf
+    # adds a sorted copy and a finiteness mask, 9 B; the first run's fixed
+    # cost, about 7 MiB, adds 23 B per trial at 3e5 trials.  That was 49 B in
+    # all (numpy 2.4.6).  Stream keys derived for every trial at once, not in
+    # blocks, read 186 B.
+    assert float(fresh_interpreter(RSS_PROBE, "300000")) < 64

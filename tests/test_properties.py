@@ -34,7 +34,11 @@ drifting apart, and hold the run path to its guarantees:
   bit, what the exhaustive W^V search picks;
 * SLM's one (M-1, N) draw of phase indices gives the rotations that M-1
   draws of N, one row at a time, give from the same stream (the per-trial
-  stream contract rests on it).
+  stream contract rests on it);
+* the frame symbols and SLM rotations the run derives a block of trials at
+  a time are, byte for byte, those drawn from each trial's
+  ``trial_stream``, for one- and two-word seeds, any trial index, BPSK and
+  QPSK, and odd draw counts, across chunk and key-block boundaries.
 
 The random run configs limit V to W^V <= 256 to keep each example fast;
 the orbit property alone goes up to W^V = 4^8.
@@ -48,7 +52,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdm_papr import (
@@ -75,6 +79,7 @@ from ofdm_papr import (
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
+from ofdm_papr.modulation import draw_symbols
 from ofdm_papr.pts import pts_candidates
 from ofdm_papr.slm import PHASE_ALPHABET, phase_rotations, slm_candidates
 
@@ -152,6 +157,8 @@ def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, 
     # budget of candidate samples, and reuses one candidate block across
     # them.  T=1 and a drawn T must give the bytes of the default T; more
     # trials than the drawn T make two chunks or more, the last often ragged.
+    # Stream keys are derived in blocks of their own size: blocks of T+1
+    # trials end inside a chunk.
     config = replace(config, method=method, oversample=oversample, modulation=modulation,
                      trials=config.trials + drawn)
     chunks = []
@@ -166,7 +173,8 @@ def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, 
         for rows in (1, drawn):
             budget = rows * harness._candidates(config) * config.oversample * config.n_subcarriers
             chunks.clear()
-            with mock.patch.object(harness, "_CHUNK_SAMPLES", budget):
+            with (mock.patch.object(harness, "_CHUNK_SAMPLES", budget),
+                  mock.patch.object(harness, "_KEY_BLOCK", rows + 1)):
                 result = run_experiment(config)
             full, ragged = divmod(config.trials, rows)
             assert chunks == [rows] * full + [ragged] * (ragged > 0)
@@ -425,3 +433,35 @@ def per_row_rotations(m_count, n, rng):
 def test_one_rotation_draw_equals_the_per_row_draws(n, m_count, seed):
     drawn = phase_rotations(m_count, n, trial_stream(seed, 1, 0))
     assert drawn.tobytes() == per_row_rotations(m_count, n, trial_stream(seed, 1, 0)).tobytes()
+
+
+SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]   # one 32-bit word, then two
+TRIALS = [0, 2 ** 31, 10 ** 8 - 1]
+
+
+@SETTINGS
+@given(st.one_of(st.sampled_from(SEEDS), st.integers(0, 2 ** 64 - 1)),
+       st.one_of(st.sampled_from(TRIALS), st.integers(0, 10 ** 8 - 1)),
+       st.sampled_from(ModulationScheme), st.sampled_from([1, 2, 64]),
+       st.sampled_from([1, 2, 16]))
+@example(SEEDS[0], TRIALS[0], ModulationScheme.BPSK, 1, 2)
+@example(SEEDS[1], TRIALS[1], ModulationScheme.QPSK, 2, 16)
+@example(SEEDS[2], TRIALS[2], ModulationScheme.BPSK, 64, 1)
+@example(SEEDS[3], TRIALS[1], ModulationScheme.QPSK, 1, 16)
+def test_the_block_draws_equal_trial_stream(seed, t, modulation, n, m_count):
+    # The run does not call trial_stream per trial: it mirrors numpy's
+    # SeedSequence pool hash over a block of trials, PCG64's seeding step and
+    # the 32-bit Lemire draw of Generator.integers.  Each trial's symbols and
+    # rotations must be trial_stream's, byte for byte.  Four trials in chunks
+    # of three, with keys derived two trials at a time, cross both boundaries.
+    trials = range(t, t + 4)
+    with mock.patch.object(harness, "_KEY_BLOCK", 2):
+        symbols = np.concatenate(list(harness._trial_draws(
+            seed, 0, trials, 3, modulation.symbol_table, n)))
+        rotations = np.concatenate(list(harness._trial_draws(
+            seed, 1, trials, 3, PHASE_ALPHABET, (m_count - 1) * n)))
+    for i, u in enumerate(trials):
+        drawn = draw_symbols(n, modulation, trial_stream(seed, 0, u))
+        assert symbols[i].tobytes() == drawn.tobytes()
+        drawn = phase_rotations(m_count, n, trial_stream(seed, 1, u))[1:]
+        assert rotations[i].tobytes() == drawn.tobytes()
