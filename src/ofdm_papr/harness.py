@@ -10,14 +10,15 @@ the same master seed consume identical per-trial data frames.
 
 The rule is ``trial_stream``, ``np.random.default_rng([seed, purpose,
 trial])``, and it is unchanged.  The run draws the same bytes without
-building a generator per trial, by mirroring three numpy internals:
-the SeedSequence pool hash, on uint32 lanes for a block of trials at once
-(``_seed_words``); PCG64's seeding step, per trial on Python ints
-(``_pcg64_states``); and the 32-bit Lemire draw of ``Generator.integers``,
-which for a power-of-two alphabet of 2^b symbols never rejects and keeps
-the top b bits of each 32-bit output word (``_trial_draws``).
+building a SeedSequence or a Generator per trial, by mirroring two numpy
+internals: the SeedSequence pool hash, on uint32 lanes for a block of
+trials at once (``_seed_words``), and the 32-bit Lemire draw of
+``Generator.integers``, which for a power-of-two alphabet of 2^b symbols
+never rejects and keeps the top b bits of each 32-bit output word
+(``_trial_draws``).  PCG64 seeds itself from each trial's hashed key
+through ``ISeedSequence``, numpy's documented interface for seed sources.
 ``test_the_block_draws_equal_trial_stream`` in tests/test_properties.py
-pins the three to numpy's own, byte for byte.
+pins the two to numpy's own, byte for byte.
 
 Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
@@ -67,16 +68,14 @@ _STREAM_PARTITION = 2
 _CHUNK_SAMPLES = 2 ** 12
 
 # Trials whose stream keys one `_seed_words` pass derives.  Sized apart from
-# the chunk, which holds one trial at L=8: a pass over one trial costs about
-# 0.1 ms, over 2^12 trials about 0.3 ms (2 vCPUs, numpy 2.4.6).
+# the chunk, which holds one trial at L=8: a pass over 1 or 16 trials costs
+# 55-59 us, over 2^12 trials 280 us (2 vCPUs, numpy 2.4.6).
 _KEY_BLOCK = 2 ** 12
 
-# numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx) and PCG64's
-# seeding step (pcg64.h), which the run path mirrors (tests/test_properties.py,
-# test_the_block_draws_equal_trial_stream, pins them to numpy's).
+# numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx), which the
+# run path mirrors (tests/test_properties.py,
+# test_the_block_draws_equal_trial_stream, pins it to numpy's).
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 class Method(Enum):
@@ -158,21 +157,17 @@ def _seed_words(master_seed: int, purpose: int, trials: np.ndarray) -> np.ndarra
                                                           _IN_MUL[steps])
             pool[dst] = mixed ^ (mixed >> 16)
         words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MUL)
-    return np.ascontiguousarray(words.T).astype("<u4", copy=False).view("<u8")
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _pcg64_states(master_seed: int, purpose: int, trials: range):
-    """Yield the PCG64 (state, inc) of ``trial_stream(master_seed, purpose, t)`` per t in trials.
+class _TrialKey:
+    """A trial's hashed key: the four uint64 words PCG64 asks ``generate_state`` for."""
 
-    Keys are derived `_KEY_BLOCK` trials at a time; per trial, PCG64's seeding
-    step takes initstate and initseq from the key's first and last 128 bits.
-    """
-    for first in range(trials.start, trials.stop, _KEY_BLOCK):
-        block = np.arange(first, min(first + _KEY_BLOCK, trials.stop), dtype=np.uint32)
-        for key in _seed_words(master_seed, purpose, block):
-            state_hi, state_lo, seq_hi, seq_lo = key.tolist()
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            yield ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _trial_draws(master_seed: int, purpose: int, trials: range, rows: int, table: np.ndarray,
@@ -180,20 +175,24 @@ def _trial_draws(master_seed: int, purpose: int, trials: range, rows: int, table
     """Yield, per chunk of `rows` trials, a (k, count) array whose row for trial t is
     ``table[trial_stream(master_seed, purpose, t).integers(0, table.size, count)]``.
 
-    One PCG64 takes each trial's state in turn.  For a table of 2^b entries
+    Keys are derived `_KEY_BLOCK` trials at a time, and PCG64 takes each
+    trial's key as its ``ISeedSequence``.  For a table of 2^b entries
     ``integers`` is the 32-bit Lemire draw, which never rejects: index i is
     the top b bits of 32-bit word i of the raw output, low half first.
     """
-    states, bitgen = _pcg64_states(master_seed, purpose, trials), np.random.PCG64(0)
+    # Registered here, not subclassed at import: ISeedSequence lives in
+    # numpy.random, and loading that at import raised the import-only peak
+    # RSS from 28.6 to 34.3 MiB (numpy 2.4.6).
+    np.random.bit_generator.ISeedSequence.register(_TrialKey)
+    keys = (key for first in range(trials.start, trials.stop, _KEY_BLOCK)
+            for key in _seed_words(master_seed, purpose, np.arange(
+                first, min(first + _KEY_BLOCK, trials.stop), dtype=np.uint32)))
     raw = np.empty((rows, (count + 1) // 2), dtype=np.uint64)
     bits = table.size.bit_length() - 1
     for start in range(trials.start, trials.stop, rows):
         k = min(rows, trials.stop - start)
         for i in range(k):
-            state, inc = next(states)
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            raw[i] = bitgen.random_raw(raw.shape[1])
+            raw[i] = np.random.PCG64(_TrialKey(next(keys))).random_raw(raw.shape[1])
         words = raw[:k].astype("<u8", copy=False).view("<u4")[:, :count]
         yield table[words >> (32 - bits)]
 

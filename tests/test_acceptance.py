@@ -300,3 +300,49 @@ def test_criterion_9_reproducible_csv(tmp_path):
     ok = a.read_bytes() == b.read_bytes()
     _report(9, "byte-identical CSV on repeated runs", ok)
     assert ok
+
+
+def _exact_ccdf(n: int, oversample: int) -> np.ndarray:
+    """P(PAPR > z) on GRID over all 4^N equally likely QPSK frames, by np.fft.ifft."""
+    table, half = QPSK.symbol_table, n // 2
+    exceed = np.zeros(GRID.size)
+    for frames in np.array_split(np.arange(4 ** n), 16):   # 4^(N-2) frames at a time
+        digits = frames[:, None] >> 2 * np.arange(n) & 3
+        spectra = np.zeros((frames.size, oversample * n), dtype=complex)
+        spectra[:, :half] = table[digits[:, :half]]
+        spectra[:, oversample * n - (n - half):] = table[digits[:, half:]]
+        power = np.abs(np.fft.ifft(spectra)) ** 2
+        papr_db = 10 * np.log10(power.max(axis=1) / power.mean(axis=1))
+        exceed += (papr_db[:, None] > GRID).sum(axis=0)
+    return exceed / 4 ** n
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, oversample", [(4, 1), (4, 8), (8, 1), (8, 8)])
+def test_the_run_ccdf_matches_the_exact_ccdf(n, oversample):
+    """none and QPSK SLM runs against their exact CCDFs, p and p^M, within 4 SE.
+
+    All 4^N QPSK frames are equally likely, so enumerating them gives the
+    exact CCDF p of the unmodified frame.  A QPSK symbol times a uniform
+    rotation from {+-1, +-j} is a uniform QPSK symbol independent of the
+    first, so SLM's M candidates are i.i.d. frames and its exact CCDF is
+    p^M.  This checks the run's draws without the golden digests: a biased
+    bit field would shift the CCDF.  The bound is the largest
+    |empirical - exact| / SE over the grid points whose SE is not zero;
+    where the exact CCDF is 0 or 1 the run must match it exactly.
+    """
+    exact, trials = _exact_ccdf(n, oversample), 100_000
+    base = ExperimentConfig(n_subcarriers=n, oversample=oversample, trials=trials,
+                            master_seed=ACCEPT_SEED)
+    configs = [base] + [replace(base, method=Method.SLM, slm_branches=m) for m in (2, 4)]
+    worst = 0.0
+    for config, run in zip(configs, run_experiments(configs)):
+        q = exact ** (config.slm_branches if config.method is Method.SLM else 1)
+        emp = run.empirical.probabilities
+        se = np.sqrt(q * (1 - q) / trials)
+        informative = se > 0
+        assert (emp[~informative] == q[~informative]).all()
+        worst = max(worst, (np.abs(emp - q)[informative] / se[informative]).max())
+    _report(10, f"run CCDF vs exact enumeration, N={n} L={oversample}", worst <= 4.0,
+            f" (max deviation {worst:.2f} SE)")
+    assert worst <= 4.0

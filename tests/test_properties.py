@@ -450,10 +450,11 @@ TRIALS = [0, 2 ** 31, 10 ** 8 - 1]
 @example(SEEDS[3], TRIALS[1], ModulationScheme.QPSK, 1, 16)
 def test_the_block_draws_equal_trial_stream(seed, t, modulation, n, m_count):
     # The run does not call trial_stream per trial: it mirrors numpy's
-    # SeedSequence pool hash over a block of trials, PCG64's seeding step and
-    # the 32-bit Lemire draw of Generator.integers.  Each trial's symbols and
-    # rotations must be trial_stream's, byte for byte.  Four trials in chunks
-    # of three, with keys derived two trials at a time, cross both boundaries.
+    # SeedSequence pool hash over a block of trials and the 32-bit Lemire
+    # draw of Generator.integers, and hands each trial's key to PCG64
+    # through ISeedSequence.  Each trial's symbols and rotations must be
+    # trial_stream's, byte for byte.  Four trials in chunks of three, with
+    # keys derived two trials at a time, cross both boundaries.
     trials = range(t, t + 4)
     with mock.patch.object(harness, "_KEY_BLOCK", 2):
         symbols = np.concatenate(list(harness._trial_draws(
