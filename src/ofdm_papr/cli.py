@@ -33,32 +33,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="ofdm-papr",
-                description="Seeded OFDM PAPR CCDF experiments (SLM / PTS)")
-    p.add_argument("--n", type=int, default=64, help="subcarrier count (power of two)")
-    p.add_argument("--mod", choices=["bpsk", "qpsk"], default="qpsk")
-    p.add_argument("--oversample", type=int, default=8, metavar="L")
-    p.add_argument("--method", choices=["none", "slm", "pts"], default=None)
-    p.add_argument("--slm-m", type=int, default=4, help="SLM candidate count M")
-    p.add_argument("--pts-v", type=int, default=4, help="PTS sub-block count V")
-    p.add_argument("--pts-w", type=int, default=4, help="PTS phase order W (2 or 4)")
-    p.add_argument("--partition", choices=["adjacent", "interleaved", "pseudorandom"],
-                   default="pseudorandom")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    p.add_argument("--thresholds", default="0:13:0.05", metavar="LO:HI:STEP",
-                   help="dB threshold grid (default 0:13:0.05)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", type=Path, default=None,
-                   help="output path (stdout when omitted)")
-    p.add_argument("--analytic", action="store_true",
-                   help="attach the closed-form curve (methods none and slm)")
-    p.add_argument("--compare", action="append", choices=["none", "slm", "pts"],
-                   metavar="METHOD",
-                   help="repeatable: run several methods on shared seeds, "
-                        "one output per method; none and slm share one search")
-    return p
+# argparse keeps no state between parse_args calls, so one parser serves every call.
+_PARSER = _Parser(prog="ofdm-papr",
+                  description="Seeded OFDM PAPR CCDF experiments (SLM / PTS)")
+_PARSER.add_argument("--n", type=int, default=64, help="subcarrier count (power of two)")
+_PARSER.add_argument("--mod", choices=["bpsk", "qpsk"], default="qpsk")
+_PARSER.add_argument("--oversample", type=int, default=8, metavar="L")
+_PARSER.add_argument("--method", choices=["none", "slm", "pts"], default=None)
+_PARSER.add_argument("--slm-m", type=int, default=4, help="SLM candidate count M")
+_PARSER.add_argument("--pts-v", type=int, default=4, help="PTS sub-block count V")
+_PARSER.add_argument("--pts-w", type=int, default=4, help="PTS phase order W (2 or 4)")
+_PARSER.add_argument("--partition", choices=["adjacent", "interleaved", "pseudorandom"],
+                     default="pseudorandom")
+_PARSER.add_argument("--trials", type=int, default=1000)
+_PARSER.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+_PARSER.add_argument("--thresholds", default="0:13:0.05", metavar="LO:HI:STEP",
+                     help="dB threshold grid (default 0:13:0.05)")
+_PARSER.add_argument("--format", choices=["csv", "json"], default="csv")
+_PARSER.add_argument("--out", type=Path, default=None,
+                     help="output path (stdout when omitted)")
+_PARSER.add_argument("--analytic", action="store_true",
+                     help="attach the closed-form curve (methods none and slm)")
+_PARSER.add_argument("--compare", action="append", choices=["none", "slm", "pts"],
+                     metavar="METHOD",
+                     help="repeatable: run several methods on shared seeds, "
+                          "one output per method; none and slm share one search")
 
 
 def _parse_thresholds(text: str):
@@ -78,9 +77,8 @@ def _method_path(out: Path, method: Method) -> Path:
 
 def cli_main(argv=None) -> int:
     """Parse flags, run the experiment(s), write the output(s)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.compare and args.method is not None:
             raise _UsageError("use either --method or --compare, not both")
         if args.compare and len(set(args.compare)) != len(args.compare):
@@ -103,17 +101,17 @@ def cli_main(argv=None) -> int:
             thresholds_db=_parse_thresholds(args.thresholds),
         )
         configs = [replace(base, method=m) for m in methods]
-        for config in configs:
-            config.validate()
+        # Validates every config before it searches; nothing is written yet.
+        results = run_experiments(configs, analytic=args.analytic)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+        print(_PARSER.format_usage(), end="", file=sys.stderr)
         return 1
 
     try:
-        for config, result in zip(configs, run_experiments(configs, analytic=args.analytic)):
+        for config, result in zip(configs, results):
             if args.out is None:
                 write_result(result, args.format, sys.stdout)
             elif args.compare:

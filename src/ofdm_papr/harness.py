@@ -9,16 +9,17 @@ not depend on how trials are scheduled, and different methods run under
 the same master seed consume identical per-trial data frames.
 
 The rule is ``trial_stream``, ``np.random.default_rng([seed, purpose,
-trial])``, and it is unchanged.  The run draws the same bytes without
-building a SeedSequence or a Generator per trial, by mirroring two numpy
-internals: the SeedSequence pool hash, on uint32 lanes for a block of
-trials at once (``_seed_words``), and the 32-bit Lemire draw of
-``Generator.integers``, which for a power-of-two alphabet of 2^b symbols
-never rejects and keeps the top b bits of each 32-bit output word
-(``_trial_draws``).  PCG64 seeds itself from each trial's hashed key
-through ``ISeedSequence``, numpy's documented interface for seed sources.
-``test_the_block_draws_equal_trial_stream`` in tests/test_properties.py
-pins the two to numpy's own, byte for byte.
+trial])``: a trial's symbols and rotations are what ``random_frame`` and
+``generate_phase_sequences`` draw from its streams.  The run draws the
+same bytes without building a SeedSequence or a Generator per trial, by
+mirroring two numpy internals: the SeedSequence pool hash, on uint32
+lanes for a block of trials at once (``_seed_words``), and the 32-bit
+Lemire draw of ``Generator.integers``, which for a power-of-two alphabet
+of 2^b symbols never rejects and keeps the top b bits of each 32-bit
+output word (``_trial_draws``).  PCG64 seeds itself from each trial's
+hashed key through ``ISeedSequence``, numpy's documented interface for
+seed sources.  ``test_the_block_draws_equal_trial_stream`` in
+tests/test_properties.py pins the two to numpy's own, byte for byte.
 
 Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
@@ -106,12 +107,12 @@ def threshold_grid(lo: float, hi: float, step: float) -> np.ndarray:
 def trial_stream(master_seed: int, purpose: int, trial: int | None = None) -> np.random.Generator:
     """The documented mixing rule behind every random draw of a run.
 
-    Trial t's frame symbols are ``draw_symbols(N, modulation,
-    trial_stream(seed, 0, t))`` and its SLM rotations ``phase_rotations(M,
-    N, trial_stream(seed, 1, t))``; the PTS partition draws from
-    ``trial_stream(seed, 2)``.  The run calls this only for the partition:
-    it derives the per-trial streams a block of trials at a time, with the
-    same bytes (see the module docstring).
+    Trial t's frame symbols are ``random_frame(N, modulation,
+    trial_stream(seed, 0, t))``'s and its SLM rotations those of
+    ``generate_phase_sequences(M, N, trial_stream(seed, 1, t))``; the PTS
+    partition draws from ``trial_stream(seed, 2)``.  The run calls this
+    only for the partition: it derives the per-trial streams a block of
+    trials at a time, with the same bytes (see the module docstring).
     """
     key = [master_seed, purpose] if trial is None else [master_seed, purpose, trial]
     return np.random.default_rng(key)
@@ -234,7 +235,7 @@ class ExperimentConfig:
             raise ValueError("slm_branches must be >= 1")
         if self.pts_blocks < 1:
             raise ValueError("pts_blocks must be >= 1")
-        if self.n_subcarriers % self.pts_blocks != 0:
+        if self.method is Method.PTS and self.n_subcarriers % self.pts_blocks != 0:
             raise ValueError(
                 f"pts_blocks={self.pts_blocks} does not divide N={self.n_subcarriers}")
         if self.pts_phase_order not in (2, 4):

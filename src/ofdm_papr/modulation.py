@@ -97,12 +97,6 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
     return scheme.symbol_table[values]
 
 
-def draw_symbols(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> np.ndarray:
-    """Array core of :func:`random_frame`: n i.i.d. uniform constellation symbols."""
-    table = scheme.symbol_table
-    return table[rng.integers(0, table.size, n)]
-
-
 def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> FrequencyFrame:
     """Draw n i.i.d. uniform constellation symbols from the given stream.
 
@@ -110,4 +104,5 @@ def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> 
     """
     if not is_power_of_two(n):
         raise ValueError(f"n={n} is not a power of two")
-    return FrequencyFrame(draw_symbols(n, scheme, rng))
+    table = scheme.symbol_table
+    return FrequencyFrame(table[rng.integers(0, table.size, n)])

@@ -16,7 +16,9 @@ from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr, 
                     pick_min, spend_peak_power, time_samples)
 from .modulation import FrequencyFrame, read_only_field
 
-PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j])  # PTS at W=2: the first two
+# PTS at W=2 uses the first two.  No part is -0.0 (as in -1.0j), so the run's
+# drawn rotations are, bit for bit, those of the public PhaseSequence.
+PHASE_ALPHABET = np.array([1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j])
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -46,17 +48,6 @@ class SlmResult:
     all_paprs: list[PaprSample]
 
 
-def phase_rotations(m_count: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Array core of :func:`generate_phase_sequences`: all-ones row 0, then drawn rows.
-
-    One draw of (M-1, N) alphabet indices; it yields the same rotations as
-    M-1 draws of N, one row at a time, from the same stream.
-    """
-    rows = np.ones((m_count, n), dtype=np.complex128)
-    rows[1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n))]
-    return rows
-
-
 def slm_candidates(symbols: np.ndarray, rotations: np.ndarray, oversample: int,
                    block: np.ndarray) -> np.ndarray:
     """Array core of :func:`slm_reduce`: write the (..., M, L*N) candidate block.
@@ -70,12 +61,18 @@ def slm_candidates(symbols: np.ndarray, rotations: np.ndarray, oversample: int,
 
 def generate_phase_sequences(m_count: int, n: int,
                              rng: np.random.Generator) -> list[PhaseSequence]:
-    """Identity sequence first, then m_count-1 random 4-ary sequences."""
+    """Identity sequence first, then m_count-1 random 4-ary sequences.
+
+    One draw of (M-1, N) alphabet indices; it yields the same rotations as
+    M-1 draws of N, one row at a time, from the same stream.
+    """
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [PhaseSequence(row, m) for m, row in enumerate(phase_rotations(m_count, n, rng))]
+    rows = np.ones((m_count, n), dtype=np.complex128)
+    rows[1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n))]
+    return [PhaseSequence(row, m) for m, row in enumerate(rows)]
 
 
 def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],

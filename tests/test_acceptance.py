@@ -20,6 +20,7 @@ sample size, so the check is implemented exactly as stated and left red.
 """
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -302,19 +303,41 @@ def test_criterion_9_reproducible_csv(tmp_path):
     assert ok
 
 
-def _exact_ccdf(n: int, oversample: int) -> np.ndarray:
-    """P(PAPR > z) on GRID over all 4^N equally likely QPSK frames, by np.fft.ifft."""
-    table, half = QPSK.symbol_table, n // 2
+@cache
+def _exact_ccdf(n: int, oversample: int, modulation=QPSK) -> np.ndarray:
+    """P(PAPR > z) on GRID over all equally likely frames of N symbols, by np.fft.ifft."""
+    table, bits, half = modulation.symbol_table, modulation.bits_per_symbol, n // 2
     exceed = np.zeros(GRID.size)
-    for frames in np.array_split(np.arange(4 ** n), 16):   # 4^(N-2) frames at a time
-        digits = frames[:, None] >> 2 * np.arange(n) & 3
+    for frames in np.array_split(np.arange(table.size ** n), 16):
+        digits = frames[:, None] >> bits * np.arange(n) & table.size - 1
         spectra = np.zeros((frames.size, oversample * n), dtype=complex)
         spectra[:, :half] = table[digits[:, :half]]
         spectra[:, oversample * n - (n - half):] = table[digits[:, half:]]
         power = np.abs(np.fft.ifft(spectra)) ** 2
         papr_db = 10 * np.log10(power.max(axis=1) / power.mean(axis=1))
         exceed += (papr_db[:, None] > GRID).sum(axis=0)
-    return exceed / 4 ** n
+    return exceed / table.size ** n
+
+
+def _worst_deviation(configs, exact_of) -> float:
+    """Largest |empirical - exact| / SE of one shared run over the grid points whose
+    SE is not zero; where the exact CCDF is 0 or 1 the run must match it exactly."""
+    worst = 0.0
+    for config, run in zip(configs, run_experiments(configs)):
+        q = exact_of(config)
+        emp = run.empirical.probabilities
+        se = np.sqrt(q * (1 - q) / config.trials)
+        informative = se > 0
+        assert (emp[~informative] == q[~informative]).all()
+        worst = max(worst, (np.abs(emp - q)[informative] / se[informative]).max())
+    return worst
+
+
+def _exact_configs(n, oversample, modulation, slm_branches):
+    """none, then SLM at each M, on shared frames: 1e5 trials at ACCEPT_SEED."""
+    base = ExperimentConfig(n_subcarriers=n, modulation=modulation, oversample=oversample,
+                            trials=100_000, master_seed=ACCEPT_SEED)
+    return [base] + [replace(base, method=Method.SLM, slm_branches=m) for m in slm_branches]
 
 
 @pytest.mark.slow
@@ -331,18 +354,32 @@ def test_the_run_ccdf_matches_the_exact_ccdf(n, oversample):
     |empirical - exact| / SE over the grid points whose SE is not zero;
     where the exact CCDF is 0 or 1 the run must match it exactly.
     """
-    exact, trials = _exact_ccdf(n, oversample), 100_000
-    base = ExperimentConfig(n_subcarriers=n, oversample=oversample, trials=trials,
-                            master_seed=ACCEPT_SEED)
-    configs = [base] + [replace(base, method=Method.SLM, slm_branches=m) for m in (2, 4)]
-    worst = 0.0
-    for config, run in zip(configs, run_experiments(configs)):
-        q = exact ** (config.slm_branches if config.method is Method.SLM else 1)
-        emp = run.empirical.probabilities
-        se = np.sqrt(q * (1 - q) / trials)
-        informative = se > 0
-        assert (emp[~informative] == q[~informative]).all()
-        worst = max(worst, (np.abs(emp - q)[informative] / se[informative]).max())
+    exact = _exact_ccdf(n, oversample)
+    worst = _worst_deviation(
+        _exact_configs(n, oversample, QPSK, (2, 4)),
+        lambda config: exact ** (config.slm_branches if config.method is Method.SLM else 1))
     _report(10, f"run CCDF vs exact enumeration, N={n} L={oversample}", worst <= 4.0,
+            f" (max deviation {worst:.2f} SE)")
+    assert worst <= 4.0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, oversample", [(8, 1), (8, 8), (16, 1), (16, 8)])
+def test_the_bpsk_run_ccdf_matches_the_exact_ccdf(n, oversample):
+    """none and BPSK SLM runs against p_BPSK and p_BPSK * p_QPSK^(M-1), within 4 SE.
+
+    A BPSK symbol times a uniform rotation from {+-1, +-j} is a uniform QPSK
+    symbol independent of the BPSK one, so SLM's candidates 1 ... M-1 are
+    i.i.d. uniform QPSK frames, independent of candidate 0 (p_BPSK^M would
+    be wrong).  p_QPSK enumerates 4^N frames, so SLM runs at N=8 only.  The
+    bounds are those of the QPSK test.  This is the oracle of the run's
+    1-bit BPSK draws.
+    """
+    bpsk = _exact_ccdf(n, oversample, ModulationScheme.BPSK)
+    worst = _worst_deviation(
+        _exact_configs(n, oversample, ModulationScheme.BPSK, (2, 4) if n == 8 else ()),
+        lambda config: bpsk * (_exact_ccdf(n, oversample) ** (config.slm_branches - 1)
+                               if config.method is Method.SLM else 1))
+    _report(10, f"BPSK run CCDF vs exact enumeration, N={n} L={oversample}", worst <= 4.0,
             f" (max deviation {worst:.2f} SE)")
     assert worst <= 4.0

@@ -57,9 +57,21 @@ def test_json_with_analytic(tmp_path):
 
 def test_divisibility_validation(tmp_path):
     out = tmp_path / "never.csv"
-    code = cli_main(["--n", "64", "--pts-v", "3", "--out", str(out)])
+    code = cli_main(["--n", "64", "--method", "pts", "--pts-v", "3", "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+@pytest.mark.parametrize("methods", [["--method", "none"], ["--method", "slm"],
+                                     ["--compare", "none", "--compare", "slm"]])
+def test_the_pts_flags_do_not_reject_a_none_or_slm_run(n, methods, tmp_path):
+    # --pts-v defaults to 4, which does not divide N = 1 or 2; only PTS reads it.
+    out = tmp_path / "curve.csv"
+    assert cli_main(["--n", n, "--trials", "3", "--out", str(out)] + methods) == 0
+    never = tmp_path / "never.csv"
+    assert cli_main(["--n", n, "--trials", "3", "--method", "pts", "--out", str(never)]) == 1
+    assert not never.exists()
 
 
 @pytest.mark.parametrize("argv", [

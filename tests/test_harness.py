@@ -36,9 +36,8 @@ from ofdm_papr import (
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
-from ofdm_papr.modulation import draw_symbols
 from ofdm_papr.pts import pts_candidates
-from ofdm_papr.slm import phase_rotations, slm_candidates
+from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
 
 FAST_GRID = threshold_grid(0.0, 13.0, 0.5)
 
@@ -117,7 +116,7 @@ def test_empirical_curve_derives_from_samples():
     dict(master_seed=-1),
     dict(master_seed=2 ** 64),
     dict(slm_branches=0),
-    dict(pts_blocks=5),
+    dict(method=Method.PTS, pts_blocks=5),
     dict(pts_blocks=0),
     dict(pts_phase_order=3),
     dict(thresholds_db=np.array([2.0, 1.0])),
@@ -288,7 +287,7 @@ def test_bpsk_runs_too():
 
 
 def test_config_replace_keeps_validation():
-    config = quick_config()
+    config = quick_config(method=Method.PTS)
     with pytest.raises(ValueError, match="divide"):
         run_experiment(replace(config, pts_blocks=7))
 
@@ -302,10 +301,12 @@ def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modula
     n, m, v, w, trials = 16, 4, 4, 2, 128
     rng = np.random.default_rng(8)
     partition = make_partition(n, v, PartitionScheme.PSEUDO_RANDOM, rng)
-    symbols = np.stack([draw_symbols(n, modulation, rng) for _ in range(trials)])
-    rotations = np.stack([phase_rotations(m, n, rng) for _ in range(trials)])
+    table = modulation.symbol_table
+    symbols = table[rng.integers(0, table.size, (trials, n))]
     if method is Method.NONE:
-        rotations = np.ones((trials, 1, n), dtype=np.complex128)   # the identity alone
+        m = 1   # the identity alone
+    rotations = np.ones((trials, m, n), dtype=np.complex128)
+    rotations[:, 1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (trials, m - 1, n))]
 
     candidates = {Method.NONE: 1, Method.SLM: m, Method.PTS: w ** (v - 1)}[method]
 

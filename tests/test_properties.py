@@ -79,9 +79,8 @@ from ofdm_papr import (
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
-from ofdm_papr.modulation import draw_symbols
 from ofdm_papr.pts import pts_candidates
-from ofdm_papr.slm import PHASE_ALPHABET, phase_rotations, slm_candidates
+from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -396,12 +395,13 @@ def test_row_0_of_every_candidate_block_is_the_unmodified_frame(method, oversamp
     # Small N at L=1 makes exact zeros among the samples, whose sign bits
     # the comparison sees too.
     n, w, v = n_w_v
-    m = 4
+    m = 1 if method is Method.NONE else 4   # none searches the identity alone
     rng = np.random.default_rng(seed)
-    symbols = np.stack([random_frame(n, modulation, rng).symbols for _ in range(trials)])
+    table = modulation.symbol_table
+    symbols = table[rng.integers(0, table.size, (trials, n))]
     partition = make_partition(n, v, scheme, rng)
-    rotations = (np.ones((trials, 1, n), dtype=np.complex128) if method is Method.NONE
-                 else np.stack([phase_rotations(m, n, rng) for _ in range(trials)]))
+    rotations = np.ones((trials, m, n), dtype=np.complex128)
+    rotations[:, 1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (trials, m - 1, n))]
 
     candidates = {Method.NONE: 1, Method.SLM: m, Method.PTS: w ** (v - 1)}[method]
 
@@ -419,6 +419,11 @@ def test_row_0_of_every_candidate_block_is_the_unmodified_frame(method, oversamp
         assert chunk[t, 0].tobytes() == unmodified
 
 
+def rotations_of(sequences):
+    """The (M, N) rotations of a list of phase sequences."""
+    return np.stack([s.rotations for s in sequences])
+
+
 def per_row_rotations(m_count, n, rng):
     """The identity row, then one draw of N alphabet indices per row."""
     rows = np.ones((m_count, n), dtype=np.complex128)
@@ -431,7 +436,7 @@ def per_row_rotations(m_count, n, rng):
 @given(st.sampled_from([2 ** k for k in range(11)]), st.integers(1, 16),
        st.integers(0, 2 ** 64 - 1))
 def test_one_rotation_draw_equals_the_per_row_draws(n, m_count, seed):
-    drawn = phase_rotations(m_count, n, trial_stream(seed, 1, 0))
+    drawn = rotations_of(generate_phase_sequences(m_count, n, trial_stream(seed, 1, 0)))
     assert drawn.tobytes() == per_row_rotations(m_count, n, trial_stream(seed, 1, 0)).tobytes()
 
 
@@ -462,7 +467,7 @@ def test_the_block_draws_equal_trial_stream(seed, t, modulation, n, m_count):
         rotations = np.concatenate(list(harness._trial_draws(
             seed, 1, trials, 3, PHASE_ALPHABET, (m_count - 1) * n)))
     for i, u in enumerate(trials):
-        drawn = draw_symbols(n, modulation, trial_stream(seed, 0, u))
+        drawn = random_frame(n, modulation, trial_stream(seed, 0, u)).symbols
         assert symbols[i].tobytes() == drawn.tobytes()
-        drawn = phase_rotations(m_count, n, trial_stream(seed, 1, u))[1:]
+        drawn = rotations_of(generate_phase_sequences(m_count, n, trial_stream(seed, 1, u)))[1:]
         assert rotations[i].tobytes() == drawn.tobytes()
