@@ -14,10 +14,10 @@ the mean power is 1/L and the PAPR is L*max|x|^2.  :func:`spend_peak_power`
 takes each row's max|x|^2 in place, in the run's own candidate block, and
 allocates nothing beyond its (..., C) result.  The public :func:`papr` keeps
 the time-domain mean, since a :class:`~ofdm_papr.modulation.FrequencyFrame`
-may hold any finite symbols.  Its mean is accumulated with an even/odd
-pairwise tree over the last axis, whose elementwise steps are bitwise
-deterministic for any leading batch shape: a frame scored inside a batch
-(``SlmResult.all_paprs``) yields exactly the value it yields alone.
+may hold any finite symbols.  Its mean is numpy's row mean over a C-order
+power array, so a frame scored inside a batch (``SlmResult.all_paprs``)
+yields exactly the value it yields alone, whatever the batch's layout; a
+property pins this, as one does for the transform.
 
 The cores trust their input: :func:`check_work` bounds the size of what a
 call may allocate, and :func:`synthesize`, the SLM and PTS public functions
@@ -112,19 +112,15 @@ def time_samples(symbols: np.ndarray, oversample: int = 1, out: np.ndarray | Non
     return np.fft.ifft(pad_spectrum(symbols, oversample, out), norm="ortho", out=out)
 
 
-def _tree_sum(values: np.ndarray) -> np.ndarray:
-    """Even/odd pairwise sum over the last (power-of-two) axis, one fresh array per level."""
-    while values.shape[-1] > 1:
-        values = values[..., 0::2] + values[..., 1::2]
-    return values[..., 0]
-
-
 def papr_linear(samples: np.ndarray) -> np.ndarray:
-    """Peak power over mean power along the last axis; batch friendly."""
-    p = np.square(samples.real)
+    """Peak power over mean power along the last axis; batch friendly.
+
+    The powers go into a C-order array, so numpy sums each row as one
+    contiguous run, bitwise as it sums that row alone.
+    """
+    p = np.square(samples.real, order="C")
     p += np.square(samples.imag)
-    peak = p.max(axis=-1)
-    return peak / (_tree_sum(p) / p.shape[-1])
+    return p.max(axis=-1) / p.mean(axis=-1)
 
 
 def spend_peak_power(block: np.ndarray) -> np.ndarray:
@@ -174,6 +170,4 @@ def synthesize(freq: FrequencyFrame, oversample: int) -> TimeFrame:
 
 def papr(frame: TimeFrame) -> PaprSample:
     """PAPR of a time frame: max_n |x_n|^2 / mean_n |x_n|^2."""
-    if not is_power_of_two(frame.samples.size):
-        raise ValueError(f"PAPR needs a power-of-two sample count, got {frame.samples.size}")
     return PaprSample.from_linear(papr_linear(frame.samples))

@@ -21,9 +21,11 @@ sample size, so the check is implemented exactly as stated and left red.
 
 from dataclasses import replace
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from ofdm_papr import (
     ExperimentConfig,
@@ -47,7 +49,9 @@ from ofdm_papr import (
     time_samples,
     trial_stream,
 )
+from ofdm_papr import harness
 from ofdm_papr.cli import cli_main
+from ofdm_papr.slm import PHASE_ALPHABET
 from test_frame import direct_synthesis
 
 ACCEPT_SEED = 2025
@@ -303,20 +307,35 @@ def test_criterion_9_reproducible_csv(tmp_path):
     assert ok
 
 
+def _exact_min_ccdf(n: int, oversample: int, modulation, weights: np.ndarray) -> np.ndarray:
+    """P(min PAPR > z) on GRID over all equally likely frames of N symbols, by np.fft.ifft.
+
+    Each frame's minimum is over its C candidates, the frame's spectrum
+    weighted by each row of the (C, N) `weights`, each transformed whole.
+    """
+    table, bits, half = modulation.symbol_table, modulation.bits_per_symbol, n // 2
+    count = table.size ** n
+    chunks = max(1, count * weights.size * oversample >> 19)   # 2^19 candidate samples each
+    exceed = np.zeros(GRID.size)
+    for frames in np.array_split(np.arange(count), chunks):
+        digits = frames[:, None] >> bits * np.arange(n) & table.size - 1
+        weighted = table[digits][:, None, :] * weights
+        spectra = np.zeros(weighted.shape[:2] + (oversample * n,), dtype=complex)
+        spectra[..., :half] = weighted[..., :half]
+        spectra[..., oversample * n - (n - half):] = weighted[..., half:]
+        power = np.abs(np.fft.ifft(spectra)) ** 2
+        least = (power.max(axis=-1) / power.mean(axis=-1)).min(axis=-1)
+        # A constant envelope has PAPR 1 exactly.  Rounding can put it a few
+        # ulps either side; the run reads 0 or -ulp dB, never above 0 dB.
+        least[np.abs(least - 1) <= 1e-12] = 1
+        exceed += (10 * np.log10(least)[:, None] > GRID).sum(axis=0)
+    return exceed / count
+
+
 @cache
 def _exact_ccdf(n: int, oversample: int, modulation=QPSK) -> np.ndarray:
-    """P(PAPR > z) on GRID over all equally likely frames of N symbols, by np.fft.ifft."""
-    table, bits, half = modulation.symbol_table, modulation.bits_per_symbol, n // 2
-    exceed = np.zeros(GRID.size)
-    for frames in np.array_split(np.arange(table.size ** n), 16):
-        digits = frames[:, None] >> bits * np.arange(n) & table.size - 1
-        spectra = np.zeros((frames.size, oversample * n), dtype=complex)
-        spectra[:, :half] = table[digits[:, :half]]
-        spectra[:, oversample * n - (n - half):] = table[digits[:, half:]]
-        power = np.abs(np.fft.ifft(spectra)) ** 2
-        papr_db = 10 * np.log10(power.max(axis=1) / power.mean(axis=1))
-        exceed += (papr_db[:, None] > GRID).sum(axis=0)
-    return exceed / table.size ** n
+    """P(PAPR > z) on GRID over all equally likely frames of N symbols."""
+    return _exact_min_ccdf(n, oversample, modulation, np.ones((1, n)))
 
 
 def _worst_deviation(configs, exact_of) -> float:
@@ -383,3 +402,62 @@ def test_the_bpsk_run_ccdf_matches_the_exact_ccdf(n, oversample):
     _report(10, f"BPSK run CCDF vs exact enumeration, N={n} L={oversample}", worst <= 4.0,
             f" (max deviation {worst:.2f} SE)")
     assert worst <= 4.0
+
+
+def _exact_pts_ccdf(n: int, oversample: int, modulation, w: int, scheme) -> np.ndarray:
+    """P(min PAPR > z) on GRID for PTS at V=4: each frame's minimum over the
+    W^3 orbit representatives (block 1 at +1) of the run's partition."""
+    block_of = make_partition(n, 4, scheme, trial_stream(ACCEPT_SEED, 2)).block_of
+    heads = np.array(list(product([1, -1, 1j, -1j][:w], repeat=3)))
+    weights = np.hstack([np.ones((heads.shape[0], 1)), heads])[:, block_of]   # (C, N)
+    return _exact_min_ccdf(n, oversample, modulation, weights)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, modulation, w, scheme, oversample", [
+    (8, QPSK, 2, PartitionScheme.ADJACENT, 1),
+    (8, QPSK, 2, PartitionScheme.INTERLEAVED, 8),
+    (8, QPSK, 4, PartitionScheme.PSEUDO_RANDOM, 1),
+    (16, ModulationScheme.BPSK, 4, PartitionScheme.PSEUDO_RANDOM, 1),
+])
+def test_the_pts_run_ccdf_matches_the_exact_ccdf(n, modulation, w, scheme, oversample):
+    """PTS runs (V=4) against the exact CCDF of the per-frame minimum, within 4 SE.
+
+    The exact CCDF enumerates every frame and takes its minimum PAPR over
+    the orbit representatives, so it checks the search as well as the
+    draws.  The bounds are those of the none and SLM oracles.  At QPSK
+    N=8, W=4, L=1 one frame in 8 reaches a constant envelope, an atom at
+    0 dB that the grid's first point checks.
+    """
+    exact = _exact_pts_ccdf(n, oversample, modulation, w, scheme)
+    config = ExperimentConfig(
+        n_subcarriers=n, modulation=modulation, oversample=oversample, method=Method.PTS,
+        pts_blocks=4, pts_phase_order=w, partition_scheme=scheme, trials=100_000,
+        master_seed=ACCEPT_SEED)
+    worst = _worst_deviation([config], lambda config: exact)
+    _report(10, f"PTS run CCDF vs exact enumeration, {modulation.name} N={n} W={w} "
+            f"{scheme.value} L={oversample}", worst <= 4.0, f" (max deviation {worst:.2f} SE)")
+    assert worst <= 4.0
+
+
+@pytest.mark.parametrize("purpose, table, count", [
+    (0, ModulationScheme.BPSK.symbol_table, 16),
+    (0, QPSK.symbol_table, 16),
+    (1, PHASE_ALPHABET, 3 * 16),   # the rotations of SLM candidates 1 ... 3 at M=4
+], ids=["bpsk", "qpsk", "rotations"])
+def test_each_drawn_symbol_is_uniform_on_its_alphabet(purpose, table, count):
+    """A chi-square per cell (one subcarrier, or one rotation entry) of 2e4
+    trials' draws against the uniform alphabet, Bonferroni over the cells.
+
+    The run's draws keep the top bits of each 32-bit word; a biased bit
+    field shows in the cell frequencies even where a CCDF hides it.
+    """
+    draws = np.concatenate(list(harness._trial_draws(7, purpose, range(20_000), 4096, table,
+                                                     count)))
+    counts = (draws[..., None] == table).sum(axis=0)                 # (cells, alphabet)
+    expected = draws.shape[0] / table.size
+    p = chi2.sf(((counts - expected) ** 2 / expected).sum(axis=1), table.size - 1)
+    adjusted = p.min() * count
+    _report(10, f"symbol frequencies, {table.size} points x {count} cells", adjusted >= 1e-6,
+            f" (smallest p x cells {adjusted:.2g})")
+    assert adjusted >= 1e-6

@@ -18,12 +18,13 @@ drifting apart, and hold the run path to its guarantees:
   of another seed among them, give each config, in input order, the
   samples, side information and CSV bytes of its own run;
 * every row of a batched transform equals, bit for bit, that row
-  transformed alone, whatever the batch shape and memory layout (the
-  never-worse guarantees compare a batched candidate with a lone frame),
-  and a batch padded into a given block and transformed in place equals
-  the fresh transform;
+  transformed alone, whatever the batch shape, memory layout and sample
+  count, powers of two or not (the never-worse guarantees compare a
+  batched candidate with a lone frame), and a batch padded into a given
+  block and transformed in place equals the fresh transform;
 * the spent peak power of a batch equals, row by row, that row's alone and
-  max(re^2 + im^2) of an unspent copy;
+  max(re^2 + im^2) of an unspent copy, and the PAPR of a batch of any
+  layout equals, row by row, that row's alone;
 * candidates that tie in exact arithmetic resolve to the lowest index;
 * the row-wise pick of a (..., C) score batch equals, row by row, the pick
   of that row alone, ties inside the 1e-12 window included;
@@ -66,6 +67,7 @@ from ofdm_papr import (
     generate_phase_sequences,
     make_partition,
     papr,
+    papr_linear,
     pts_reduce,
     random_frame,
     run_experiment,
@@ -258,7 +260,7 @@ def test_a_shared_search_gives_each_config_its_own_run(configs_and_rows, analyti
 @st.composite
 def batches(draw):
     """A (..., P) complex batch: C order, F order, a strided view or a reversed slice."""
-    p = 2 ** draw(st.integers(0, 12))
+    p = draw(st.sampled_from([2 ** k for k in range(13)] + [3, 6, 100]))
     shape = (3,) + tuple(draw(st.lists(st.integers(1, 3), max_size=3))) + (2 * p,)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -287,7 +289,10 @@ def test_a_batched_transform_equals_each_row_alone(batch, oversample):
 
 @SETTINGS
 @given(batches())
-def test_the_spent_peak_of_a_batch_equals_each_row_alone(batch):
+def test_the_spent_peak_and_the_papr_of_a_batch_equal_each_row_alone(batch):
+    paprs = papr_linear(batch)
+    for idx in np.ndindex(batch.shape[:-1]):
+        assert paprs[idx].tobytes() == papr_linear(batch[idx].copy()).tobytes()
     batch = np.ascontiguousarray(batch)
     expected = (np.square(batch.real) + np.square(batch.imag)).max(axis=-1)
     peaks = spend_peak_power(batch.copy())
