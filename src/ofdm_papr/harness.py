@@ -28,7 +28,11 @@ results are also chunk-independent: the chunk size changes no byte.  The
 methods differ only in what ``slm_candidates`` or ``pts_candidates`` writes
 into the run's one candidate block, whose row 0 is the unmodified frame, and
 share one scoring, L*max|x|^2 in place, and one pick; a run without
-reduction is SLM with that identity candidate alone.  A trial's SLM
+reduction is SLM with that identity candidate alone.  A PTS run at L >= 4
+scores through ``pts_pruned_scores`` instead: it bounds every candidate on
+every (L/2)-th sample, scores in full, with the bytes above, only those
+whose bound is within 1e-9 of the best score, and gives the rest +inf, so
+the pick and the samples are those of scoring them all.  A trial's SLM
 candidates at M are the first M of its candidates at any larger M, so
 none and SLM runs on shared frames share one search at their largest M,
 each picking from its own prefix of the scores (``run_experiments``).
@@ -55,7 +59,7 @@ from .modulation import ModulationScheme, is_power_of_two
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, make_partition, pts_candidates
+from .pts import PartitionScheme, make_partition, pts_candidates, pts_pruned_scores
 from .slm import PHASE_ALPHABET, slm_candidates
 from .stats import CcdfCurve, check_grid, empirical_ccdf, theoretical_curve
 
@@ -65,7 +69,7 @@ _STREAM_PARTITION = 2
 
 # Candidate samples per chunk of trials.  Budgets of 2^18 and 2^20 were no
 # faster at L=8 and raised the peak RSS from 35 to 40 and 55 MiB (ROADMAP,
-# "Measured at this re-anchor").
+# "Measured earlier, not worth retrying as they stand").
 _CHUNK_SAMPLES = 2 ** 12
 
 # Trials whose stream keys one `_seed_words` pass derives.  Sized apart from
@@ -309,14 +313,20 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
         partition = make_partition(n, lead.pts_blocks, lead.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
     rows = max(1, min(trials, _CHUNK_SAMPLES // (c * oversample * n)))
+    pruned = lead.method is Method.PTS and oversample >= 4
 
     # One set of chunk rows and one candidate block for the whole search: the
-    # chunks reuse them, so a trial allocates no candidate-sized array.
+    # chunks reuse them, so a trial allocates no candidate-sized array.  A
+    # pruned search builds the bounds and two full rows per trial instead.
     # SLM's candidate 0 is the unmodified frame, so none picks from that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (None if lead.method is Method.PTS
                  else np.ones((rows, c, n), dtype=np.complex128))
-    block = np.empty((rows, c, oversample * n), dtype=np.complex128)
+    if pruned:
+        bounds = np.empty((rows, c, 2 * n), dtype=np.complex128)
+        pairs = np.empty((rows, 2, oversample * n), dtype=np.complex128)
+    else:
+        block = np.empty((rows, c, oversample * n), dtype=np.complex128)
     picks = [(_candidates(config), np.empty(trials), np.empty(trials, dtype=np.int64))
              for config in members]
     frames = _trial_draws(seed, _STREAM_FRAME, range(trials), rows,
@@ -329,12 +339,16 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
         symbols[:k] = next(frames)
         if phases is not None:
             rotations[:k, 1:] = next(phases).reshape(k, c - 1, n)
-        if lead.method is Method.PTS:
-            pts_candidates(symbols[:k], partition, lead.pts_phase_order, oversample, block[:k])
-        else:
-            slm_candidates(symbols[:k], rotations[:k], oversample, block[:k])
         # Every frame here has energy N (Parseval), so its PAPR is L*max|x|^2.
-        scores = oversample * spend_peak_power(block[:k])
+        if pruned:
+            scores = pts_pruned_scores(symbols[:k], partition, lead.pts_phase_order, oversample,
+                                       bounds[:k], pairs[:k])
+        elif lead.method is Method.PTS:
+            scores = oversample * spend_peak_power(pts_candidates(
+                symbols[:k], partition, lead.pts_phase_order, oversample, block[:k]))
+        else:
+            scores = oversample * spend_peak_power(slm_candidates(
+                symbols[:k], rotations[:k], oversample, block[:k]))
         for width, samples_db, side_info in picks:
             side_info[start:stop] = index = pick_min(scores[:, :width])
             # PaprSample.db's expression: np.log10 can be an ulp away from it.

@@ -19,6 +19,17 @@ Selection details:
   synthesized directly rather than as a sum of block signals, whose
   rounding could lift it a few ulps: the result can never be worse than
   the unmodified frame, exactly.
+* A run at L >= 4 prunes its search (:func:`pts_pruned_scores`).  The
+  peak over every s-th sample, s = L/2, lower-bounds a candidate's peak
+  over all L*N samples (the classic oversampling result: Tellambura,
+  IEEE Commun. Lett. 2001; Wunder & Boche, IEEE Trans. Inf. Theory 2003),
+  so a candidate whose bound exceeds the best full score by more than a
+  1e-9 relative margin cannot reach the tie window, and is never built.
+  It picks what scoring every candidate picks, bytes included.  At L < 4
+  the subsample would be the whole frame, and a run scores every
+  candidate.
+  :func:`pts_reduce` scores every candidate and stays the run's
+  reference: the properties hold each run trial to it.
 """
 
 from __future__ import annotations
@@ -141,6 +152,11 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     return [PhaseVector(row, i) for i, row in enumerate(_factor_matrix(w, v_count))]
 
 
+def _signals(symbols: np.ndarray, partition: SubBlockPartition, oversample: int) -> np.ndarray:
+    """(..., 1 + V, L*N): the unmodified frame, synthesized directly, then the V block signals."""
+    return time_samples(np.where(_block_masks(partition), symbols[..., None, :], 0), oversample)
+
+
 def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
                    oversample: int, block: np.ndarray) -> np.ndarray:
     """Array core of :func:`pts_reduce`: write the (..., W^(V-1), L*N) candidate block.
@@ -152,12 +168,64 @@ def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
     """
     v = partition.v_count
     c = w ** (v - 1)                                   # the orbit representatives
-    # The unmodified frame, then the V block signals.
-    signals = time_samples(np.where(_block_masks(partition), symbols[..., None, :], 0),
-                           oversample)
+    signals = _signals(symbols, partition, oversample)
     block[..., 0, :] = signals[..., 0, :]
     np.matmul(_factor_matrix(w, v)[1:c], signals[..., 1:, :], out=block[..., 1:, :])
     return block
+
+
+# Relative slack before a candidate is pruned.  A bound comes from another
+# product than its candidate's full score, so it may exceed that score by a
+# few ulps; a candidate 1e-9 above the best is still far outside pick_min's
+# 1e-12 tie window.
+_PRUNE_MARGIN = 1e-9
+
+
+def pts_pruned_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int,
+                      oversample: int, bounds: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Pruned array core of a run's PTS search at L >= 4.
+
+    Returns the (k, W^(V-1)) scores L*max|x|^2 of (k, N) symbols, +inf
+    where a candidate cannot win.  Each candidate is first bounded on every
+    s-th sample, s = L/2: the peak over a subsample never exceeds the peak
+    over all L*N samples, so L times it is a lower bound on the candidate's
+    score.  Row 0 is scored in full, then each trial's other candidates in
+    ascending order of their bounds, two at a time in one stacked product
+    for every trial still searching, until the next bound exceeds the best
+    score so far by the relative margin `_PRUNE_MARGIN`: every candidate
+    left scores above the tie window of :func:`~ofdm_papr.frame.pick_min`,
+    whose pick then equals its pick over every candidate's score, whatever
+    the order among equal bounds.  A scored row has the bytes that
+    :func:`pts_candidates` and :func:`~ofdm_papr.frame.spend_peak_power`
+    give it, as a row of a product of two factor rows (or of the whole
+    product, when there is one factor row): a product of one row of
+    several (BLAS's vector kernel) can differ from that row of the whole
+    product in its last ulp.  `bounds` is the caller's complex128
+    (k, W^(V-1), 2N) block and `pairs` its (k, 2, L*N) one; both are spent.
+    """
+    c = w ** (partition.v_count - 1)
+    factors = _factor_matrix(w, partition.v_count)[:c]
+    stride = oversample // 2
+    signals = _signals(symbols, partition, oversample)
+    bounds[:, 0] = signals[:, 0, ::stride]
+    np.matmul(factors[1:], signals[:, 1:, ::stride], out=bounds[:, 1:])
+    peaks = oversample * spend_peak_power(bounds)
+    scores = np.full(peaks.shape, np.inf)
+    scores[:, 0] = oversample * spend_peak_power(signals[:, 0])
+    order = np.argsort(peaks[:, 1:], axis=-1) + 1
+    ranked = np.take_along_axis(peaks, order, axis=-1)
+    trials = np.arange(len(scores))
+    for first in range(0, c - 1, 2):
+        best = scores[trials].min(axis=-1)
+        trials = trials[ranked[trials, first] <= best * (1.0 + _PRUNE_MARGIN)]
+        if not trials.size:
+            break
+        # A lone last row pairs with the one before it, scored again.
+        rows = order[trials, first:first + 2] if first + 2 < c else order[trials, -2:]
+        pair = pairs[:trials.size, :rows.shape[1]]
+        np.matmul(factors[rows], signals[trials, 1:], out=pair)
+        scores[trials[:, None], rows] = oversample * spend_peak_power(pair)
+    return scores
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,

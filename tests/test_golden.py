@@ -3,11 +3,15 @@
 Pins the SHA-256 (first 16 hex digits) of ``samples_db.tobytes()``, of
 ``side_info.tobytes()`` and of the CSV output for a small matrix: every
 method, L in {1, 8}, BPSK and QPSK, and PTS over all three partitions, at
-N=16 with 100 trials each.  The values were computed with Python 3.11.7
-and numpy 2.4.6; the ``samples_db`` digests depend on the last ulps of
-numpy's FFT (pocketfft), so another numpy version may move them.  The
-statistical acceptance tests do not see a last-ulp change (``np.log10``
-and ``math.log10`` differ by one ulp, for example); these digests do.  A
+N=16 with 100 trials each.  Two PTS keys run at N=64 and L=8, with W=4,
+V=4 and with W=2, V=8, through the run's pruned search, which bounds every
+candidate before it scores any in full: at V=8 a row built alone, not as
+one of two, would move a byte.  They were pinned before that search
+existed.  The values were computed with Python 3.11.7 and numpy 2.4.6;
+the ``samples_db`` digests depend on the last ulps of numpy's FFT
+(pocketfft), so another numpy version may move them.  The statistical
+acceptance tests do not see a last-ulp change (``np.log10`` and
+``math.log10`` differ by one ulp, for example); these digests do.  A
 change that moves the bytes on purpose must say so and re-pin them.
 
 The ``samples_db`` digests were last re-pinned when the run began to score
@@ -54,6 +58,10 @@ DIGESTS = {
     "pts-L8-qpsk-adjacent": ("1e7cc6f2c2449bdb", "7e884348d7141548", "73737959818dcb99"),
     "pts-L8-qpsk-interleaved": ("12739a75a54382b1", "dbf0e86a32f62311", "6e951e1155333f8d"),
     "pts-L8-qpsk-pseudorandom": ("3893b9ca7c79e3ff", "f87fa727544541ef", "55a3e9e8a6d8e1e8"),
+    "pts-L8-qpsk-pseudorandom-N64-W4-V4": ("fc965d782125c3b6", "5af9f6ffbfd54bb2",
+                                           "b24131459ee22a3e"),
+    "pts-L8-qpsk-pseudorandom-N64-W2-V8": ("9374d8e732e3935d", "880bf1247b73847e",
+                                           "581d5bc941ff8dcd"),
 }
 
 
@@ -64,10 +72,12 @@ def _digest(data: bytes) -> str:
 @pytest.mark.parametrize("key", sorted(DIGESTS))
 def test_golden_digests(key):
     method, oversample, modulation, *partition = key.split("-")
+    partition, *shape = partition or ["pseudorandom"]
+    n, w, v = (int(field[1:]) for field in shape) if shape else (16, 4, 4)
     config = ExperimentConfig(
-        n_subcarriers=16, modulation=ModulationScheme(modulation),
-        oversample=int(oversample[1:]), method=Method(method),
-        partition_scheme=PartitionScheme(partition[0] if partition else "pseudorandom"),
+        n_subcarriers=n, modulation=ModulationScheme(modulation),
+        oversample=int(oversample[1:]), method=Method(method), pts_blocks=v,
+        pts_phase_order=w, partition_scheme=PartitionScheme(partition),
         trials=100, master_seed=SEED)
     result = run_experiment(config)
     sink = io.StringIO()

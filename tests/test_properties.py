@@ -9,7 +9,8 @@ drifting apart, and hold the run path to its guarantees:
   equals, bit for bit, 10 log10(L max|x|^2) of the frame they return;
 * any chunk size, one trial per chunk and a ragged last chunk included,
   gives the bytes of the default chunks, though the run reuses one
-  candidate block across its chunks;
+  candidate block across its chunks, for the full and the pruned PTS
+  search alike;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
 * a run without reduction gives the bytes of SLM with the identity
   candidate alone (M=1);
@@ -33,6 +34,13 @@ drifting apart, and hold the run path to its guarantees:
   guarantees rest on it);
 * the PTS search over the W^(V-1) orbit representatives picks, bit for
   bit, what the exhaustive W^V search picks;
+* the pruned PTS search, which bounds each candidate on a subsample and
+  scores in full only those that can still win, picks the index and the
+  score bytes of the search that scores every candidate, ties included,
+  and each candidate it scores has that search's bytes;
+* a product of any two factor rows or more with the block signals equals,
+  byte for byte, those rows of the product of every factor row (the
+  pruned search builds its rows so; a one-row product may differ);
 * SLM's one (M-1, N) draw of phase indices gives the rotations that M-1
   draws of N, one row at a time, give from the same stream (the per-trial
   stream contract rests on it);
@@ -81,7 +89,7 @@ from ofdm_papr import (
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
-from ofdm_papr.pts import pts_candidates
+from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_pruned_scores
 from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -159,16 +167,17 @@ def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, 
     # them.  T=1 and a drawn T must give the bytes of the default T; more
     # trials than the drawn T make two chunks or more, the last often ragged.
     # Stream keys are derived in blocks of their own size: blocks of T+1
-    # trials end inside a chunk.
+    # trials end inside a chunk.  The run picks once per chunk, whichever
+    # search scored it (the pruned one scores in several calls).
     config = replace(config, method=method, oversample=oversample, modulation=modulation,
                      trials=config.trials + drawn)
     chunks = []
 
-    def counted(block, score=harness.spend_peak_power):
-        chunks.append(len(block))
-        return score(block)
+    def counted(scores, pick=harness.pick_min):
+        chunks.append(len(scores))
+        return pick(scores)
 
-    with mock.patch.object(harness, "spend_peak_power", counted):
+    with mock.patch.object(harness, "pick_min", counted):
         default = run_experiment(config)
         assert sum(chunks) == config.trials
         for rows in (1, drawn):
@@ -387,6 +396,57 @@ def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, schem
     found = spend_peak_power(pts_candidates(symbols, partition, w, oversample, block))
     assert pick_min(found) == index
     assert found[index].tobytes() == scores[index].tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from([(w, v) for w in (2, 4) for v in (1, 2, 4, 8)]), st.sampled_from([8, 16]),
+       st.sampled_from(ModulationScheme), st.sampled_from(PartitionScheme),
+       st.sampled_from([4, 8]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_the_pruned_pts_search_picks_what_full_scoring_picks(w_v, n, modulation, scheme,
+                                                             oversample, trials, seed):
+    # BPSK at N=8 and N=16 ties often in exact arithmetic, and the tie
+    # window, not the bound, then decides the pick.
+    w, v = w_v
+    c = w ** (v - 1)
+    rng = np.random.default_rng(seed)
+    table = modulation.symbol_table
+    symbols = table[rng.integers(0, table.size, (trials, n))]
+    partition = make_partition(n, v, scheme, rng)
+    block = np.empty((trials, c, oversample * n), dtype=np.complex128)
+    full = oversample * spend_peak_power(pts_candidates(symbols, partition, w, oversample, block))
+    bounds = np.empty((trials, c, 2 * n), dtype=np.complex128)
+    pairs = np.empty((trials, 2, oversample * n), dtype=np.complex128)
+    pruned = pts_pruned_scores(symbols, partition, w, oversample, bounds, pairs)
+    index = pick_min(full)
+    assert pick_min(pruned).tobytes() == index.tobytes()
+    winners = np.arange(trials), index
+    assert pruned[winners].tobytes() == full[winners].tobytes()
+    scored = np.isfinite(pruned)
+    assert scored[:, 0].all()
+    assert pruned[scored].tobytes() == full[scored].tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from([(w, v) for w in (2, 4) for v in range(2, 9) if w ** (v - 1) > 2]),
+       st.sampled_from([16, 64, 1024]), st.data())
+def test_a_gather_of_factor_rows_equals_those_rows_of_the_whole_product(w_v, samples, data):
+    # The pruned PTS search builds the rows it scores two at a time, in one
+    # stacked product over the trials of a chunk, and each must have the
+    # bytes of pts_candidates' product of every factor row.  Both rest on
+    # BLAS's choice of kernel, which a numpy wheel (or OPENBLAS_NUM_THREADS)
+    # may change.
+    w, v = w_v
+    factors = _factor_matrix(w, v)[:w ** (v - 1)]
+    size = data.draw(st.integers(2, min(7, len(factors) - 1)))
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(1, len(factors) - 1), min_size=size, max_size=size, unique=True),
+        min_size=1, max_size=3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = len(rows), v, samples
+    signals = time_samples(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    whole = np.matmul(factors[1:], signals)
+    gathered = np.matmul(factors[rows], signals)
+    assert gathered.tobytes() == np.take_along_axis(whole, rows[..., None] - 1, axis=1).tobytes()
 
 
 @SETTINGS
