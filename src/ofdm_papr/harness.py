@@ -25,17 +25,17 @@ Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
 results are also chunk-independent: the chunk size changes no byte.  The
-methods differ only in what ``slm_candidates`` or ``pts_candidates`` writes
-into the run's one candidate block, whose row 0 is the unmodified frame, and
-share one scoring, L*max|x|^2 in place, and one pick; a run without
-reduction is SLM with that identity candidate alone.  A PTS run at L >= 4
-scores through ``pts_pruned_scores`` instead: it bounds every candidate on
-every (L/2)-th sample, scores in full, with the bytes above, only those
-whose bound is within 1e-9 of the best score, and gives the rest +inf, so
-the pick and the samples are those of scoring them all.  A trial's SLM
-candidates at M are the first M of its candidates at any larger M, so
-none and SLM runs on shared frames share one search at their largest M,
-each picking from its own prefix of the scores (``run_experiments``).
+methods differ only in their candidate block, and every method gets the
+run's one (T, C, L*N) block.  ``slm_candidates`` writes SLM's candidates
+into it, row 0 the unmodified frame, and they are scored L*max|x|^2 in
+place; a run without reduction is SLM with that identity candidate alone.
+``pts_scores`` spends the block as scratch: it bounds every candidate on a
+subsample, scores in full only those that can still win, and gives the
+rest +inf, so the pick and the samples are those of scoring them all.  One
+pick serves both.  A trial's SLM candidates at M are the first M of its
+candidates at any larger M, so none and SLM runs on shared frames share one
+search at their largest M, each picking from its own prefix of the scores
+(``run_experiments``).
 
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
@@ -59,7 +59,7 @@ from .modulation import ModulationScheme, is_power_of_two
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, make_partition, pts_candidates, pts_pruned_scores
+from .pts import PartitionScheme, make_partition, pts_scores
 from .slm import PHASE_ALPHABET, slm_candidates
 from .stats import CcdfCurve, check_grid, empirical_ccdf, theoretical_curve
 
@@ -313,20 +313,15 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
         partition = make_partition(n, lead.pts_blocks, lead.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
     rows = max(1, min(trials, _CHUNK_SAMPLES // (c * oversample * n)))
-    pruned = lead.method is Method.PTS and oversample >= 4
 
     # One set of chunk rows and one candidate block for the whole search: the
-    # chunks reuse them, so a trial allocates no candidate-sized array.  A
-    # pruned search builds the bounds and two full rows per trial instead.
+    # chunks reuse them, so a trial allocates no candidate-sized array.  SLM
+    # writes its candidates into the block, and PTS spends it as scratch.
     # SLM's candidate 0 is the unmodified frame, so none picks from that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (None if lead.method is Method.PTS
                  else np.ones((rows, c, n), dtype=np.complex128))
-    if pruned:
-        bounds = np.empty((rows, c, 2 * n), dtype=np.complex128)
-        pairs = np.empty((rows, 2, oversample * n), dtype=np.complex128)
-    else:
-        block = np.empty((rows, c, oversample * n), dtype=np.complex128)
+    block = np.empty((rows, c, oversample * n), dtype=np.complex128)
     picks = [(_candidates(config), np.empty(trials), np.empty(trials, dtype=np.int64))
              for config in members]
     frames = _trial_draws(seed, _STREAM_FRAME, range(trials), rows,
@@ -340,12 +335,9 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
         if phases is not None:
             rotations[:k, 1:] = next(phases).reshape(k, c - 1, n)
         # Every frame here has energy N (Parseval), so its PAPR is L*max|x|^2.
-        if pruned:
-            scores = pts_pruned_scores(symbols[:k], partition, lead.pts_phase_order, oversample,
-                                       bounds[:k], pairs[:k])
-        elif lead.method is Method.PTS:
-            scores = oversample * spend_peak_power(pts_candidates(
-                symbols[:k], partition, lead.pts_phase_order, oversample, block[:k]))
+        if lead.method is Method.PTS:
+            scores = pts_scores(symbols[:k], partition, lead.pts_phase_order, oversample,
+                                block[:k])
         else:
             scores = oversample * spend_peak_power(slm_candidates(
                 symbols[:k], rotations[:k], oversample, block[:k]))

@@ -19,16 +19,15 @@ Selection details:
   synthesized directly rather than as a sum of block signals, whose
   rounding could lift it a few ulps: the result can never be worse than
   the unmodified frame, exactly.
-* A run at L >= 4 prunes its search (:func:`pts_pruned_scores`).  The
-  peak over every s-th sample, s = L/2, lower-bounds a candidate's peak
-  over all L*N samples (the classic oversampling result: Tellambura,
-  IEEE Commun. Lett. 2001; Wunder & Boche, IEEE Trans. Inf. Theory 2003),
-  so a candidate whose bound exceeds the best full score by more than a
-  1e-9 relative margin cannot reach the tie window, and is never built.
-  It picks what scoring every candidate picks, bytes included.  At L < 4
-  the subsample would be the whole frame, and a run scores every
-  candidate.
-  :func:`pts_reduce` scores every candidate and stays the run's
+* A run scores through :func:`pts_scores`, at every L.  The peak over
+  every s-th sample, s = max(1, L/2), lower-bounds a candidate's peak over
+  all L*N samples (the classic oversampling result: Tellambura, IEEE
+  Commun. Lett. 2001; Wunder & Boche, IEEE Trans. Inf. Theory 2003), so a
+  candidate whose bound exceeds the best full score by more than a 1e-9
+  relative margin cannot reach the tie window, and is never built.  It
+  picks what scoring every candidate picks, bytes included.  At L <= 2 the
+  subsample is the whole frame, the bounds are the scores, and nothing is
+  pruned.  :func:`pts_reduce` scores every candidate and stays the run's
   reference: the properties hold each run trial to it.
 """
 
@@ -40,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame import (TimeFrame, check_work, is_unit_magnitude, papr, pick_min, spend_peak_power,
-                    time_samples)
+from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr, pick_min,
+                    spend_peak_power, time_samples)
 from .modulation import FrequencyFrame, read_only_field
 from .slm import PHASE_ALPHABET
 
@@ -181,35 +180,41 @@ def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
 _PRUNE_MARGIN = 1e-9
 
 
-def pts_pruned_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int,
-                      oversample: int, bounds: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Pruned array core of a run's PTS search at L >= 4.
+def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int,
+               block: np.ndarray) -> np.ndarray:
+    """Array core of a run's PTS search: the (k, W^(V-1)) scores of (k, N) symbols.
 
-    Returns the (k, W^(V-1)) scores L*max|x|^2 of (k, N) symbols, +inf
-    where a candidate cannot win.  Each candidate is first bounded on every
-    s-th sample, s = L/2: the peak over a subsample never exceeds the peak
-    over all L*N samples, so L times it is a lower bound on the candidate's
-    score.  Row 0 is scored in full, then each trial's other candidates in
-    ascending order of their bounds, two at a time in one stacked product
-    for every trial still searching, until the next bound exceeds the best
-    score so far by the relative margin `_PRUNE_MARGIN`: every candidate
-    left scores above the tie window of :func:`~ofdm_papr.frame.pick_min`,
-    whose pick then equals its pick over every candidate's score, whatever
-    the order among equal bounds.  A scored row has the bytes that
-    :func:`pts_candidates` and :func:`~ofdm_papr.frame.spend_peak_power`
-    give it, as a row of a product of two factor rows (or of the whole
-    product, when there is one factor row): a product of one row of
-    several (BLAS's vector kernel) can differ from that row of the whole
-    product in its last ulp.  `bounds` is the caller's complex128
-    (k, W^(V-1), 2N) block and `pairs` its (k, 2, L*N) one; both are spent.
+    A score is L*max|x|^2, or +inf where the candidate cannot win.  Each
+    candidate is first bounded by L times its peak over every s-th sample,
+    s = max(1, L/2), which never exceeds its score.  At s = 1 the bound
+    product is the one :func:`pts_candidates` forms, and the bounds are the
+    scores.  Otherwise row 0 is scored in full, then each trial's other
+    candidates in ascending order of their bounds, two at a time in one
+    stacked product for every trial still searching, until the next bound
+    exceeds the best score so far by the relative margin `_PRUNE_MARGIN`:
+    every candidate left scores above the tie window of
+    :func:`~ofdm_papr.frame.pick_min`, whose pick then equals its pick over
+    every candidate's score, whatever the order among equal bounds.  A
+    scored row has the bytes that :func:`pts_candidates` and
+    :func:`~ofdm_papr.frame.spend_peak_power` give it, as a row of a
+    product of two factor rows (or of the whole product, when there is one
+    factor row): a product of one row of several (BLAS's vector kernel) can
+    differ from that row of the whole product in its last ulp.  `block` is
+    the caller's C-contiguous complex128 (k, W^(V-1), L*N) block, spent as
+    scratch: the bounds fill its front, and the rows scored in full reuse
+    it once the bounds are spent.
     """
     c = w ** (partition.v_count - 1)
     factors = _factor_matrix(w, partition.v_count)[:c]
-    stride = oversample // 2
+    stride = max(1, oversample // 2)
     signals = _signals(symbols, partition, oversample)
+    scratch = block.reshape(-1)
+    bounds = scratch[:scratch.size // stride].reshape(len(symbols), c, -1)
     bounds[:, 0] = signals[:, 0, ::stride]
     np.matmul(factors[1:], signals[:, 1:, ::stride], out=bounds[:, 1:])
     peaks = oversample * spend_peak_power(bounds)
+    if stride == 1:
+        return peaks
     scores = np.full(peaks.shape, np.inf)
     scores[:, 0] = oversample * spend_peak_power(signals[:, 0])
     order = np.argsort(peaks[:, 1:], axis=-1) + 1
@@ -222,7 +227,7 @@ def pts_pruned_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int,
             break
         # A lone last row pairs with the one before it, scored again.
         rows = order[trials, first:first + 2] if first + 2 < c else order[trials, -2:]
-        pair = pairs[:trials.size, :rows.shape[1]]
+        pair = scratch[:rows.size * signals.shape[-1]].reshape(*rows.shape, -1)
         np.matmul(factors[rows], signals[trials, 1:], out=pair)
         scores[trials[:, None], rows] = oversample * spend_peak_power(pair)
     return scores

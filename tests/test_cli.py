@@ -102,19 +102,18 @@ def test_usage_errors_exit_1(argv, capsys):
 
 def test_compare_writes_one_file_per_method(tmp_path):
     # none and slm share one search at SLM's M=4; PTS (W^(V-1) = 8) searches alone.
-    # Each chunk scores one (trials, candidates, L*N) block.
     out = tmp_path / "fig.csv"
     widths = []
 
-    def counted(block, score=harness.spend_peak_power):
-        widths.append(block.shape[-2])
-        return score(block)
+    def counted(members, analytic, search=harness._search):
+        widths.append([harness._candidates(config) for config in members])
+        return search(members, analytic)
 
-    with mock.patch.object(harness, "spend_peak_power", counted):
+    with mock.patch.object(harness, "_search", counted):
         code = cli_main(BASE + ["--n", "64", "--compare", "none", "--compare", "slm",
                                 "--compare", "pts", "--pts-w", "2", "--out", str(out)])
     assert code == 0
-    assert set(widths) == {4, 8}    # no search of none's width 1
+    assert widths == [[1, 4], [8]]
     for method in ("none", "slm", "pts"):
         path = tmp_path / f"fig_{method}.csv"
         assert path.exists()

@@ -5,7 +5,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -347,6 +348,14 @@ def test_importing_the_package_does_not_load_numpy_random():
     if fresh_interpreter(probe.format("numpy")).strip() == "True":
         pytest.skip("a bare import numpy loads numpy.random")
     assert fresh_interpreter(probe.format("ofdm_papr, ofdm_papr.cli")).strip() == "False"
+
+
+@pytest.mark.parametrize("name", [name for name in ofdm_papr.__all__
+                                  if is_dataclass(getattr(ofdm_papr, name))])
+def test_every_public_dataclass_resolves_its_type_hints(name):
+    # The modules postpone their annotations, so a name a field's annotation
+    # uses but its module never imports fails only when someone resolves it.
+    assert typing.get_type_hints(getattr(ofdm_papr, name))
 
 
 # Runs one config in a fresh interpreter, after a 20-trial warm-up, and

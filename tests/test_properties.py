@@ -9,8 +9,7 @@ drifting apart, and hold the run path to its guarantees:
   equals, bit for bit, 10 log10(L max|x|^2) of the frame they return;
 * any chunk size, one trial per chunk and a ragged last chunk included,
   gives the bytes of the default chunks, though the run reuses one
-  candidate block across its chunks, for the full and the pruned PTS
-  search alike;
+  candidate block across its chunks, which PTS spends as scratch;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
 * a run without reduction gives the bytes of SLM with the identity
   candidate alone (M=1);
@@ -34,13 +33,14 @@ drifting apart, and hold the run path to its guarantees:
   guarantees rest on it);
 * the PTS search over the W^(V-1) orbit representatives picks, bit for
   bit, what the exhaustive W^V search picks;
-* the pruned PTS search, which bounds each candidate on a subsample and
+* the run's PTS search, which bounds each candidate on a subsample and
   scores in full only those that can still win, picks the index and the
   score bytes of the search that scores every candidate, ties included,
-  and each candidate it scores has that search's bytes;
+  and each candidate it scores has that search's bytes, at every L (at
+  L <= 2 it scores every candidate);
 * a product of any two factor rows or more with the block signals equals,
   byte for byte, those rows of the product of every factor row (the
-  pruned search builds its rows so; a one-row product may differ);
+  PTS search builds its rows so; a one-row product may differ);
 * SLM's one (M-1, N) draw of phase indices gives the rotations that M-1
   draws of N, one row at a time, give from the same stream (the per-trial
   stream contract rests on it);
@@ -89,7 +89,7 @@ from ofdm_papr import (
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
-from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_pruned_scores
+from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_scores
 from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -168,7 +168,7 @@ def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, 
     # trials than the drawn T make two chunks or more, the last often ragged.
     # Stream keys are derived in blocks of their own size: blocks of T+1
     # trials end inside a chunk.  The run picks once per chunk, whichever
-    # search scored it (the pruned one scores in several calls).
+    # search scored it (PTS at L >= 4 scores in several calls).
     config = replace(config, method=method, oversample=oversample, modulation=modulation,
                      trials=config.trials + drawn)
     chunks = []
@@ -401,11 +401,12 @@ def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, schem
 @SETTINGS
 @given(st.sampled_from([(w, v) for w in (2, 4) for v in (1, 2, 4, 8)]), st.sampled_from([8, 16]),
        st.sampled_from(ModulationScheme), st.sampled_from(PartitionScheme),
-       st.sampled_from([4, 8]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+       st.sampled_from([1, 2, 4, 8]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 def test_the_pruned_pts_search_picks_what_full_scoring_picks(w_v, n, modulation, scheme,
                                                              oversample, trials, seed):
     # BPSK at N=8 and N=16 ties often in exact arithmetic, and the tie
-    # window, not the bound, then decides the pick.
+    # window, not the bound, then decides the pick.  At L <= 2 the bound is
+    # the score, and every candidate is scored.
     w, v = w_v
     c = w ** (v - 1)
     rng = np.random.default_rng(seed)
@@ -414,15 +415,15 @@ def test_the_pruned_pts_search_picks_what_full_scoring_picks(w_v, n, modulation,
     partition = make_partition(n, v, scheme, rng)
     block = np.empty((trials, c, oversample * n), dtype=np.complex128)
     full = oversample * spend_peak_power(pts_candidates(symbols, partition, w, oversample, block))
-    bounds = np.empty((trials, c, 2 * n), dtype=np.complex128)
-    pairs = np.empty((trials, 2, oversample * n), dtype=np.complex128)
-    pruned = pts_pruned_scores(symbols, partition, w, oversample, bounds, pairs)
+    # The spent block is the search's scratch: what it holds must not matter.
+    pruned = pts_scores(symbols, partition, w, oversample, block)
     index = pick_min(full)
     assert pick_min(pruned).tobytes() == index.tobytes()
     winners = np.arange(trials), index
     assert pruned[winners].tobytes() == full[winners].tobytes()
     scored = np.isfinite(pruned)
     assert scored[:, 0].all()
+    assert scored.all() or oversample >= 4
     assert pruned[scored].tobytes() == full[scored].tobytes()
 
 
@@ -430,7 +431,7 @@ def test_the_pruned_pts_search_picks_what_full_scoring_picks(w_v, n, modulation,
 @given(st.sampled_from([(w, v) for w in (2, 4) for v in range(2, 9) if w ** (v - 1) > 2]),
        st.sampled_from([16, 64, 1024]), st.data())
 def test_a_gather_of_factor_rows_equals_those_rows_of_the_whole_product(w_v, samples, data):
-    # The pruned PTS search builds the rows it scores two at a time, in one
+    # The PTS search at L >= 4 builds the rows it scores two at a time, in one
     # stacked product over the trials of a chunk, and each must have the
     # bytes of pts_candidates' product of every factor row.  Both rest on
     # BLAS's choice of kernel, which a numpy wheel (or OPENBLAS_NUM_THREADS)
