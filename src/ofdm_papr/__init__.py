@@ -12,7 +12,7 @@ from .harness import (
     trial_stream,
     write_result,
 )
-from .modulation import FrequencyFrame, ModulationScheme, is_power_of_two, map_bits, random_frame
+from .modulation import FrequencyFrame, ModulationScheme, map_bits, random_frame
 from .pts import (
     PartitionScheme,
     PhaseVector,
@@ -54,7 +54,6 @@ __all__ = [
     "enumerate_phase_vectors",
     "gaussianity_stats",
     "generate_phase_sequences",
-    "is_power_of_two",
     "make_partition",
     "map_bits",
     "papr",

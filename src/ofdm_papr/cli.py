@@ -36,10 +36,11 @@ class _Parser(argparse.ArgumentParser):
 # argparse keeps no state between parse_args calls, so one parser serves every call.
 _PARSER = _Parser(prog="ofdm-papr",
                   description="Seeded OFDM PAPR CCDF experiments (SLM / PTS)")
-_PARSER.add_argument("--n", type=int, default=64, help="subcarrier count (power of two)")
+_PARSER.add_argument("--n", type=int, default=64, help="subcarrier count N")
 _PARSER.add_argument("--mod", choices=["bpsk", "qpsk"], default="qpsk")
 _PARSER.add_argument("--oversample", type=int, default=8, metavar="L")
-_PARSER.add_argument("--method", choices=["none", "slm", "pts"], default=None)
+_METHODS = _PARSER.add_mutually_exclusive_group()
+_METHODS.add_argument("--method", choices=["none", "slm", "pts"], default=None)
 _PARSER.add_argument("--slm-m", type=int, default=4, help="SLM candidate count M")
 _PARSER.add_argument("--pts-v", type=int, default=4, help="PTS sub-block count V")
 _PARSER.add_argument("--pts-w", type=int, default=4, help="PTS phase order W (2 or 4)")
@@ -54,7 +55,7 @@ _PARSER.add_argument("--out", type=Path, default=None,
                      help="output path (stdout when omitted)")
 _PARSER.add_argument("--analytic", action="store_true",
                      help="attach the closed-form curve (methods none and slm)")
-_PARSER.add_argument("--compare", action="append", choices=["none", "slm", "pts"],
+_METHODS.add_argument("--compare", action="append", choices=["none", "slm", "pts"],
                      metavar="METHOD",
                      help="repeatable: run several methods on shared seeds, "
                           "one output per method; none and slm share one search")
@@ -79,8 +80,6 @@ def cli_main(argv=None) -> int:
     """Parse flags, run the experiment(s), write the output(s)."""
     try:
         args = _PARSER.parse_args(argv)
-        if args.compare and args.method is not None:
-            raise _UsageError("use either --method or --compare, not both")
         if args.compare and len(set(args.compare)) != len(args.compare):
             raise _UsageError("--compare methods must be distinct")
         if args.compare and args.out is None:

@@ -2,10 +2,10 @@
 
 Synthesis is one unitary inverse FFT (numpy's, ``norm="ortho"``) of the
 spectrum, oversampled by mid-spectrum zero padding (trigonometric
-interpolation): the N-point spectrum is split at the midpoint and (L-1)*N
-zeros are inserted between the two halves before the transform.  No
-renormalisation is applied afterwards; the PAPR is a ratio and does not
-depend on the overall scale.
+interpolation): the N-point spectrum is split after its first floor(N/2)
+bins, its midpoint at even N, and (L-1)*N zeros are inserted between the
+two parts before the transform.  No renormalisation is applied afterwards;
+the PAPR is a ratio and does not depend on the overall scale.
 
 A run scores its candidates by the peak alone.  Every frame on the run
 path has energy exactly N: the BPSK/QPSK symbols, SLM rotations and PTS
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import FrequencyFrame, check_signal, is_power_of_two, read_only_field
+from .modulation import FrequencyFrame, check_signal, read_only_field
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,15 @@ class TimeFrame:
 def check_work(n: int, oversample: int, candidates: int = 1) -> None:
     """Reject a frame of L*N samples, or a block of C such frames, too large to search.
 
-    The limits: L*N a power of two at most 2**20, and C*L*N at most 2**24
-    complex samples (256 MiB), the candidate block of one trial.
+    The limits: N >= 1, L >= 1, L*N at most 2**20, and C*L*N at most 2**24
+    complex samples (256 MiB), the candidate block of one trial.  Every
+    input size rule lives here: any N and L within them runs.
     """
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     samples = oversample * n
-    if not is_power_of_two(samples):
-        raise ValueError(f"L*N = {samples} is not a power of two")
     if samples > 2 ** 20:
         raise ValueError(f"L*N = {samples} exceeds 2**20")
     if candidates * samples > 2 ** 24:

@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .frame import check_work, pick_min, spend_peak_power
-from .modulation import ModulationScheme, is_power_of_two
+from .modulation import ModulationScheme
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
@@ -228,8 +228,6 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
-        if not is_power_of_two(self.n_subcarriers):
-            raise ValueError(f"n_subcarriers={self.n_subcarriers} is not a power of two")
         check_work(self.n_subcarriers, self.oversample)   # bounds N before W^(V-1) below
         if not 1 <= self.trials <= 10 ** 8:
             raise ValueError("trials must be in [1, 10**8]")

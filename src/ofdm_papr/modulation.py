@@ -14,11 +14,6 @@ _BPSK_TABLE = np.array([1.0 + 0.0j, -1.0 + 0.0j])
 _QPSK_TABLE = np.array([1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j, -1.0 + 0.0j])  # 00,01,10,11
 
 
-def is_power_of_two(n: int) -> bool:
-    """True when n is 1, 2, 4, 8, ..."""
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 class ModulationScheme(Enum):
     """Supported constellations; every point has unit magnitude."""
 
@@ -50,28 +45,25 @@ def read_only_field(obj, name: str, dtype) -> np.ndarray:
 
 
 def check_signal(arr: np.ndarray, name: str) -> None:
-    """Reject a frame with a non-finite value, or all zero (its PAPR is undefined)."""
+    """Reject a frame with a non-finite value, or empty or all zero (its PAPR is undefined)."""
     if not np.isfinite(arr.view(np.float64)).all():
         raise ValueError(f"{name} contain non-finite values")
     if not arr.any():
-        raise ValueError("all-zero frame has undefined PAPR")
+        raise ValueError("empty or all-zero frame has undefined PAPR")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class FrequencyFrame:
     """One OFDM symbol in the frequency domain: N complex subcarrier symbols.
 
-    Immutable; `symbols` is a read-only complex128 array of power-of-two
-    length, finite and not all zero.
+    Immutable; `symbols` is a read-only complex128 array, non-empty, finite
+    and not all zero.
     """
 
     symbols: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = read_only_field(self, "symbols", np.complex128)
-        if not is_power_of_two(arr.size):
-            raise ValueError(f"frame length {arr.size} is not a power of two")
-        check_signal(arr, "symbols")
+        check_signal(read_only_field(self, "symbols", np.complex128), "symbols")
 
     @property
     def n_subcarriers(self) -> int:
@@ -100,9 +92,7 @@ def map_bits(bits, scheme: ModulationScheme) -> np.ndarray:
 def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> FrequencyFrame:
     """Draw n i.i.d. uniform constellation symbols from the given stream.
 
-    Deterministic for a given generator state; n must be a power of two.
+    Deterministic for a given generator state; the frame rejects n = 0.
     """
-    if not is_power_of_two(n):
-        raise ValueError(f"n={n} is not a power of two")
     table = scheme.symbol_table
     return FrequencyFrame(table[rng.integers(0, table.size, n)])

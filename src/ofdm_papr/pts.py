@@ -20,15 +20,16 @@ Selection details:
   rounding could lift it a few ulps: the result can never be worse than
   the unmodified frame, exactly.
 * A run scores through :func:`pts_scores`, at every L.  The peak over
-  every s-th sample, s = max(1, L/2), lower-bounds a candidate's peak over
-  all L*N samples (the classic oversampling result: Tellambura, IEEE
-  Commun. Lett. 2001; Wunder & Boche, IEEE Trans. Inf. Theory 2003), so a
-  candidate whose bound exceeds the best full score by more than a 1e-9
-  relative margin cannot reach the tie window, and is never built.  It
-  picks what scoring every candidate picks, bytes included.  At L <= 2 the
-  subsample is the whole frame, the bounds are the scores, and nothing is
-  pruned.  :func:`pts_reduce` scores every candidate and stays the run's
-  reference: the properties hold each run trial to it.
+  every s-th sample, s = max(1, L // 2), ceil(L*N/s) points (2N at even
+  L), lower-bounds a candidate's peak over all L*N samples (the classic
+  oversampling result: Tellambura, IEEE Commun. Lett. 2001; Wunder &
+  Boche, IEEE Trans. Inf. Theory 2003), so a candidate whose bound exceeds
+  the best full score by more than a 1e-9 relative margin cannot reach the
+  tie window, and is never built.  It picks what scoring every candidate
+  picks, bytes included.  At L <= 3 (s = 1) the subsample is the frame,
+  the bounds are the scores, and nothing is pruned.  :func:`pts_reduce`
+  scores every candidate and stays the run's reference: the properties
+  hold each run trial to it.
 """
 
 from __future__ import annotations
@@ -186,12 +187,13 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
 
     A score is L*max|x|^2, or +inf where the candidate cannot win.  Each
     candidate is first bounded by L times its peak over every s-th sample,
-    s = max(1, L/2), which never exceeds its score.  At s = 1 the bound
-    product is the one :func:`pts_candidates` forms, and the bounds are the
-    scores.  Otherwise row 0 is scored in full, then each trial's other
-    candidates in ascending order of their bounds, two at a time in one
-    stacked product for every trial still searching, until the next bound
-    exceeds the best score so far by the relative margin `_PRUNE_MARGIN`:
+    s = max(1, L // 2), ceil(L*N/s) points (2N at even L), which never
+    exceeds its score.  At s = 1 the bound product is the one
+    :func:`pts_candidates` forms, and the bounds are the scores.
+    Otherwise row 0 is scored in full, then each trial's other candidates
+    in ascending order of their bounds, two at a time in one stacked
+    product for every trial still searching, until the next bound exceeds
+    the best score so far by the relative margin `_PRUNE_MARGIN`:
     every candidate left scores above the tie window of
     :func:`~ofdm_papr.frame.pick_min`, whose pick then equals its pick over
     every candidate's score, whatever the order among equal bounds.  A
@@ -208,10 +210,11 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
     factors = _factor_matrix(w, partition.v_count)[:c]
     stride = max(1, oversample // 2)
     signals = _signals(symbols, partition, oversample)
+    sub = signals[..., ::stride]
     scratch = block.reshape(-1)
-    bounds = scratch[:scratch.size // stride].reshape(len(symbols), c, -1)
-    bounds[:, 0] = signals[:, 0, ::stride]
-    np.matmul(factors[1:], signals[:, 1:, ::stride], out=bounds[:, 1:])
+    bounds = scratch[:len(symbols) * c * sub.shape[-1]].reshape(len(symbols), c, -1)
+    bounds[:, 0] = sub[:, 0]
+    np.matmul(factors[1:], sub[:, 1:], out=bounds[:, 1:])
     peaks = oversample * spend_peak_power(bounds)
     if stride == 1:
         return peaks

@@ -360,7 +360,7 @@ def _exact_configs(n, oversample, modulation, slm_branches):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n, oversample", [(4, 1), (4, 8), (8, 1), (8, 8)])
+@pytest.mark.parametrize("n, oversample", [(4, 1), (4, 8), (8, 1), (8, 8), (6, 1), (6, 3)])
 def test_the_run_ccdf_matches_the_exact_ccdf(n, oversample):
     """none and QPSK SLM runs against their exact CCDFs, p and p^M, within 4 SE.
 
@@ -383,7 +383,8 @@ def test_the_run_ccdf_matches_the_exact_ccdf(n, oversample):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n, oversample", [(8, 1), (8, 8), (16, 1), (16, 8)])
+@pytest.mark.parametrize("n, oversample", [(8, 1), (8, 8), (16, 1), (16, 8), (12, 1),
+                                            (12, 5)])
 def test_the_bpsk_run_ccdf_matches_the_exact_ccdf(n, oversample):
     """none and BPSK SLM runs against p_BPSK and p_BPSK * p_QPSK^(M-1), within 4 SE.
 
@@ -419,6 +420,7 @@ def _exact_pts_ccdf(n: int, oversample: int, modulation, w: int, scheme) -> np.n
     (8, QPSK, 2, PartitionScheme.INTERLEAVED, 8),
     (8, QPSK, 4, PartitionScheme.PSEUDO_RANDOM, 1),
     (16, ModulationScheme.BPSK, 4, PartitionScheme.PSEUDO_RANDOM, 1),
+    (12, ModulationScheme.BPSK, 2, PartitionScheme.PSEUDO_RANDOM, 5),
 ])
 def test_the_pts_run_ccdf_matches_the_exact_ccdf(n, modulation, w, scheme, oversample):
     """PTS runs (V=4) against the exact CCDF of the per-frame minimum, within 4 SE.

@@ -9,8 +9,9 @@ from unittest import mock
 import pytest
 
 from ofdm_papr import harness
-from ofdm_papr.cli import cli_main
+from ofdm_papr.cli import _PARSER, cli_main
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 BASE = ["--n", "16", "--oversample", "1", "--trials", "20",
         "--seed", "5", "--thresholds", "0:13:0.5"]
 
@@ -76,7 +77,7 @@ def test_the_pts_flags_do_not_reject_a_none_or_slm_run(n, methods, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--no-such-flag"],
-    ["--n", "48"],
+    ["--n", "0"],
     ["--mod", "16qam"],
     ["--thresholds", "0:13"],
     ["--thresholds", "5:1:0.5"],
@@ -131,10 +132,16 @@ def test_help_exits_0(capsys):
     assert "--thresholds" in capsys.readouterr().out
 
 
+def test_the_readme_flags_are_the_parsers_long_options():
+    paragraph = README.read_text().split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    options = {option for action in _PARSER._actions for option in action.option_strings
+               if option.startswith("--")}
+    assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == options - {"--help"}
+
+
 def readme_commands():
     """Every ``ofdm-papr`` command in the sh blocks of the README's CLI section."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     lines = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
     return [shlex.split(line) for line in lines.splitlines() if line.startswith("ofdm-papr ")]
 

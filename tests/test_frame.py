@@ -186,18 +186,9 @@ def test_all_zero_frame_rejected():
         synthesize(FrequencyFrame(np.zeros(4)), 2)
 
 
-def test_oversample_product_must_be_power_of_two():
-    freq = FrequencyFrame([1, -1, 1j, -1j])
-    with pytest.raises(ValueError, match="power of two"):
-        synthesize(freq, 3)
+def test_oversample_must_be_positive():
     with pytest.raises(ValueError, match=">= 1"):
-        synthesize(freq, 0)
-
-
-@pytest.mark.parametrize("bad", [[1, 2, 3], [1] * 5, [1] * 12])
-def test_non_power_of_two_rejected(bad):
-    with pytest.raises(ValueError, match="power of two"):
-        synthesize(FrequencyFrame(bad), 1)
+        synthesize(FrequencyFrame([1, -1, 1j, -1j]), 0)
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0], [np.inf, 0], [0, complex(0, np.inf)]])

@@ -12,7 +12,6 @@ from ofdm_papr import (
     PhaseVector,
     SubBlockPartition,
     TimeFrame,
-    is_power_of_two,
     map_bits,
     random_frame,
 )
@@ -80,14 +79,15 @@ def test_random_frame_uniformity():
         assert abs(freq - 0.25) < 0.01
 
 
-def test_random_frame_length_must_be_power_of_two():
-    with pytest.raises(ValueError, match="power of two"):
-        random_frame(48, QPSK, np.random.default_rng(0))
+def test_random_frame_takes_any_length_but_zero():
+    assert random_frame(48, QPSK, np.random.default_rng(0)).n_subcarriers == 48
+    with pytest.raises(ValueError, match="empty or all-zero frame has undefined PAPR"):
+        random_frame(0, QPSK, np.random.default_rng(0))
 
 
 def test_frequency_frame_validation():
-    with pytest.raises(ValueError, match="power of two"):
-        FrequencyFrame([1, 1, 1])
+    with pytest.raises(ValueError, match="empty or all-zero frame has undefined PAPR"):
+        FrequencyFrame([])
     with pytest.raises(ValueError, match="finite"):
         FrequencyFrame([1, np.nan, 1, 1])
     with pytest.raises(ValueError, match="undefined PAPR"):
@@ -119,7 +119,3 @@ def test_array_wrappers_hold_a_read_only_copy(cls, field, value, rest):
     assert_array_equal(stored, value)
     with pytest.raises(AttributeError):
         setattr(obj, field, given)
-
-
-def test_is_power_of_two():
-    assert [n for n in range(-2, 17) if is_power_of_two(n)] == [1, 2, 4, 8, 16]

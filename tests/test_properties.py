@@ -37,7 +37,7 @@ drifting apart, and hold the run path to its guarantees:
   scores in full only those that can still win, picks the index and the
   score bytes of the search that scores every candidate, ties included,
   and each candidate it scores has that search's bytes, at every L (at
-  L <= 2 it scores every candidate);
+  L <= 3 it scores every candidate);
 * a product of any two factor rows or more with the block signals equals,
   byte for byte, those rows of the product of every factor row (the
   PTS search builds its rows so; a one-row product may differ);
@@ -49,8 +49,9 @@ drifting apart, and hold the run path to its guarantees:
   ``trial_stream``, for one- and two-word seeds, any trial index, BPSK and
   QPSK, and odd draw counts, across chunk and key-block boundaries.
 
-The random run configs limit V to W^V <= 256 to keep each example fast;
-the orbit property alone goes up to W^V = 4^8.
+The random run configs take N and L that are not powers of two too (odd
+L among them), V among N's divisors, and limit V to W^V <= 256 to keep
+each example fast; the orbit property alone goes up to W^V = 4^8.
 """
 
 import io
@@ -97,13 +98,13 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 @st.composite
 def configs(draw):
-    n = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 32, 64]))
     w = draw(st.sampled_from([2, 4]))
-    v = draw(st.sampled_from([v for v in (1, 2, 4, 8) if n % v == 0 and w ** v <= 256]))
+    v = draw(st.sampled_from([v for v in range(1, 9) if n % v == 0 and w ** v <= 256]))
     return ExperimentConfig(
         n_subcarriers=n,
         modulation=draw(st.sampled_from(ModulationScheme)),
-        oversample=draw(st.sampled_from([1, 2, 4, 8])),
+        oversample=draw(st.sampled_from([1, 2, 3, 4, 5, 8])),
         method=draw(st.sampled_from(Method)),
         slm_branches=draw(st.integers(1, 8)),
         pts_blocks=v,
@@ -143,10 +144,7 @@ def configs_and_orders(draw):
     return config, draw(st.permutations(range(config.trials)))
 
 
-@SETTINGS
-@given(configs_and_orders())
-def test_each_trial_matches_the_public_functions(config_and_order):
-    config, order = config_and_order
+def assert_each_trial_matches_the_public_functions(config, order):
     result = run_experiment(config)
     samples = np.empty(config.trials)
     side_info = np.empty(config.trials, dtype=np.int64)
@@ -154,6 +152,23 @@ def test_each_trial_matches_the_public_functions(config_and_order):
         samples[t], side_info[t] = rebuilt_trial(config, t)
     assert samples.tobytes() == result.samples_db.tobytes()
     assert side_info.tobytes() == result.side_info.tobytes()
+
+
+@SETTINGS
+@given(configs_and_orders())
+def test_each_trial_matches_the_public_functions(config_and_order):
+    assert_each_trial_matches_the_public_functions(*config_and_order)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("n, v", [(12, 4), (15, 3)])
+def test_a_run_at_odd_l_and_any_n_matches_the_public_functions(n, v, method):
+    # At N=15, L=5 the PTS bound stride s=2 does not divide L*N = 75.
+    # pts_reduce scores every candidate.
+    config = ExperimentConfig(n_subcarriers=n, oversample=5, method=method, pts_blocks=v,
+                              trials=20, master_seed=11,
+                              thresholds_db=threshold_grid(0.0, 13.0, 0.5))
+    assert_each_trial_matches_the_public_functions(config, range(config.trials))
 
 
 @pytest.mark.parametrize("modulation", list(ModulationScheme))
@@ -399,15 +414,18 @@ def test_pts_orbit_search_equals_the_exhaustive_search(w_v, n, modulation, schem
 
 
 @SETTINGS
-@given(st.sampled_from([(w, v) for w in (2, 4) for v in (1, 2, 4, 8)]), st.sampled_from([8, 16]),
+@given(st.sampled_from([(n, w, v) for n in (6, 8, 12, 15, 16) for w in (2, 4)
+                        for v in (1, 2, 3, 4, 5, 8) if n % v == 0]),
        st.sampled_from(ModulationScheme), st.sampled_from(PartitionScheme),
-       st.sampled_from([1, 2, 4, 8]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_the_pruned_pts_search_picks_what_full_scoring_picks(w_v, n, modulation, scheme,
+       st.sampled_from([1, 2, 3, 4, 5, 7, 8]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@example((15, 2, 3), ModulationScheme.QPSK, PartitionScheme.PSEUDO_RANDOM, 5, 1, 0)
+def test_the_pruned_pts_search_picks_what_full_scoring_picks(n_w_v, modulation, scheme,
                                                              oversample, trials, seed):
     # BPSK at N=8 and N=16 ties often in exact arithmetic, and the tie
-    # window, not the bound, then decides the pick.  At L <= 2 the bound is
-    # the score, and every candidate is scored.
-    w, v = w_v
+    # window, not the bound, then decides the pick.  At L <= 3 the bound is
+    # the score, and every candidate is scored.  At odd L the stride
+    # s = L // 2 need not divide L*N: the subsample has ceil(L*N/s) points.
+    n, w, v = n_w_v
     c = w ** (v - 1)
     rng = np.random.default_rng(seed)
     table = modulation.symbol_table
@@ -513,7 +531,7 @@ TRIALS = [0, 2 ** 31, 10 ** 8 - 1]
 @SETTINGS
 @given(st.one_of(st.sampled_from(SEEDS), st.integers(0, 2 ** 64 - 1)),
        st.one_of(st.sampled_from(TRIALS), st.integers(0, 10 ** 8 - 1)),
-       st.sampled_from(ModulationScheme), st.sampled_from([1, 2, 64]),
+       st.sampled_from(ModulationScheme), st.sampled_from([1, 2, 3, 64]),
        st.sampled_from([1, 2, 16]))
 @example(SEEDS[0], TRIALS[0], ModulationScheme.BPSK, 1, 2)
 @example(SEEDS[1], TRIALS[1], ModulationScheme.QPSK, 2, 16)
