@@ -25,14 +25,16 @@ Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
 results are also chunk-independent: the chunk size changes no byte.  The
-methods differ only in their candidate block, and every method gets the
-run's one (T, C, L*N) block.  ``slm_candidates`` writes SLM's candidates
-into it, row 0 the unmodified frame, and they are scored L*max|x|^2 in
-place; a run without reduction is SLM with that identity candidate alone.
-``pts_scores`` spends the block as scratch: it bounds every candidate on a
-subsample, scores in full only those that can still win, and gives the
-rest +inf, so the pick and the samples are those of scoring them all.  One
-pick serves both.  A trial's SLM candidates at M are the first M of its
+methods differ only in their candidate block, which the run allocates
+once.  For none and SLM it is (T, C, L*N), T sized by `_CHUNK_SAMPLES`:
+``slm_candidates`` writes SLM's candidates into it, row 0 the unmodified
+frame, and they are scored L*max|x|^2 in place; a run without reduction is
+SLM with that identity candidate alone.  For PTS it is (T, ``pts_width``),
+T sized by `_PTS_CHUNK_SAMPLES`, and ``pts_scores`` spends it as scratch: it
+bounds every candidate on a subsample, scores in full only those that can
+still win, and gives the rest +inf, so the pick and the samples are those
+of scoring them all.  One pick serves both, and its sample is floored at
+0 dB.  A trial's SLM candidates at M are the first M of its
 candidates at any larger M, so none and SLM runs on shared frames share one
 search at their largest M, each picking from its own prefix of the scores
 (``run_experiments``).
@@ -59,7 +61,7 @@ from .modulation import ModulationScheme
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, make_partition, pts_scores
+from .pts import PartitionScheme, make_partition, pts_scores, pts_width
 from .slm import PHASE_ALPHABET, slm_candidates
 from .stats import CcdfCurve, check_grid, empirical_ccdf, theoretical_curve
 
@@ -67,14 +69,24 @@ _STREAM_FRAME = 0
 _STREAM_METHOD = 1
 _STREAM_PARTITION = 2
 
-# Candidate samples per chunk of trials.  Budgets of 2^18 and 2^20 were no
-# faster at L=8 and raised the peak RSS from 35 to 40 and 55 MiB (ROADMAP,
-# "Measured earlier, not worth retrying as they stand").
+# Candidate samples per chunk of none or SLM trials, C*L*N per trial.
+# Budgets of 2^18 and 2^20 were no faster at L=8 and raised the peak RSS
+# from 35 to 40 and 55 MiB (ROADMAP, "Measured earlier, not worth retrying
+# as they stand"); 2^16 slowed the N=64, L=1 runs and raised their peak RSS
+# by 2.7 MiB.
 _CHUNK_SAMPLES = 2 ** 12
 
+# Scratch samples per chunk of PTS trials, `pts_width` per trial: 4 trials
+# at N=128, L=8, V=4, W=4, in the 1 MiB that one trial's C*L*N samples take.
+# Against 2^12 of C*L*N, one trial per chunk there, a trial took 178-181
+# in place of 222-227 us, and 28 in place of 107-111 us at N=16 (2 vCPUs,
+# numpy 2.4.6, single-threaded OpenBLAS).
+_PTS_CHUNK_SAMPLES = 2 ** 16
+
 # Trials whose stream keys one `_seed_words` pass derives.  Sized apart from
-# the chunk, which holds one trial at L=8: a pass over 1 or 16 trials costs
-# 55-59 us, over 2^12 trials 280 us (2 vCPUs, numpy 2.4.6).
+# the chunk, which holds one SLM trial at L=8 and four PTS trials at
+# N=128: a pass over 1 or 16 trials costs 55-59 us, over 2^12 trials 280 us
+# (2 vCPUs, numpy 2.4.6).
 _KEY_BLOCK = 2 ** 12
 
 # numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx), which the
@@ -310,7 +322,10 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
     if lead.method is Method.PTS:
         partition = make_partition(n, lead.pts_blocks, lead.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
-    rows = max(1, min(trials, _CHUNK_SAMPLES // (c * oversample * n)))
+        budget, shape = _PTS_CHUNK_SAMPLES, (pts_width(c, n, oversample),)
+    else:
+        budget, shape = _CHUNK_SAMPLES, (c, oversample * n)
+    rows = max(1, min(trials, budget // math.prod(shape)))
 
     # One set of chunk rows and one candidate block for the whole search: the
     # chunks reuse them, so a trial allocates no candidate-sized array.  SLM
@@ -319,7 +334,7 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (None if lead.method is Method.PTS
                  else np.ones((rows, c, n), dtype=np.complex128))
-    block = np.empty((rows, c, oversample * n), dtype=np.complex128)
+    block = np.empty((rows,) + shape, dtype=np.complex128)
     picks = [(_candidates(config), np.empty(trials), np.empty(trials, dtype=np.int64))
              for config in members]
     frames = _trial_draws(seed, _STREAM_FRAME, range(trials), rows,
@@ -342,7 +357,9 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
         for width, samples_db, side_info in picks:
             side_info[start:stop] = index = pick_min(scores[:, :width])
             # PaprSample.db's expression: np.log10 can be an ulp away from it.
-            samples_db[start:stop] = [10.0 * math.log10(score)
+            # A PAPR is at least 1, but a constant envelope's score can round
+            # below it; the floor leaves the scores and the pick alone.
+            samples_db[start:stop] = [10.0 * math.log10(max(score, 1.0))
                                       for score in scores[np.arange(k), index].tolist()]
     searched = time.perf_counter() - started
 

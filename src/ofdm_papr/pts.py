@@ -174,6 +174,12 @@ def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
     return block
 
 
+def pts_width(c: int, n: int, oversample: int) -> int:
+    """Scratch samples :func:`pts_scores` spends per trial: C bounds or two full rows."""
+    stride = max(1, oversample // 2)
+    return max(c * -(-oversample * n // stride), min(c, 2) * oversample * n)
+
+
 # Relative slack before a candidate is pruned.  A bound comes from another
 # product than its candidate's full score, so it may exceed that score by a
 # few ulps; a candidate 1e-9 above the best is still far outside pick_min's
@@ -202,8 +208,8 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
     product of two factor rows (or of the whole product, when there is one
     factor row): a product of one row of several (BLAS's vector kernel) can
     differ from that row of the whole product in its last ulp.  `block` is
-    the caller's C-contiguous complex128 (k, W^(V-1), L*N) block, spent as
-    scratch: the bounds fill its front, and the rows scored in full reuse
+    the caller's C-contiguous complex128 (k, :func:`pts_width`) block, spent
+    as scratch: the bounds fill its front, and the rows scored in full reuse
     it once the bounds are spent.
     """
     c = w ** (partition.v_count - 1)

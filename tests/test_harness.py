@@ -195,6 +195,25 @@ def test_a_run_hashes_stream_keys_once_per_key_block(method):
         assert passes.call_count == blocks * streams_drawn
 
 
+@pytest.mark.parametrize("n, trials, chunks", [(128, 9, [4, 4, 1]), (16, 40, [32, 8])])
+def test_a_pts_chunk_holds_what_its_pruned_search_spends(n, trials, chunks):
+    # At L=8 the PTS search spends C bounds of 2N points per trial, not C
+    # rows of L*N, so a chunk of 2^16 scratch samples holds 4 trials at
+    # N=128, V=4, W=4: the 1 MiB that one trial's 64 rows of 1024 samples
+    # take.  At N=16 it holds 32.
+    config = ExperimentConfig(n_subcarriers=n, oversample=8, method=Method.PTS, pts_blocks=4,
+                              pts_phase_order=4, trials=trials)
+    seen = []
+
+    def spy(symbols, partition, w, oversample, block, search=harness.pts_scores):
+        seen.append((len(symbols), block.size))
+        return search(symbols, partition, w, oversample, block)
+
+    with mock.patch.object(harness, "pts_scores", spy):
+        run_experiment(config)
+    assert seen == [(k, k * 2 ** 16 // chunks[0]) for k in chunks]
+
+
 def test_default_threshold_grid_shape():
     grid = default_threshold_grid()
     assert grid[0] == 0.0

@@ -11,6 +11,8 @@ drifting apart, and hold the run path to its guarantees:
   gives the bytes of the default chunks, though the run reuses one
   candidate block across its chunks, which PTS spends as scratch;
 * SLM and PTS samples are never above the unmodified frame's, exactly;
+* no sample is below 0 dB, though a constant envelope's score can round
+  below 1;
 * a run without reduction gives the bytes of SLM with the identity
   candidate alone (M=1);
 * a K-trial run is the first K trials of a longer run;
@@ -90,7 +92,7 @@ from ofdm_papr import (
 )
 from ofdm_papr import harness
 from ofdm_papr.frame import pick_min, spend_peak_power
-from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_scores
+from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_scores, pts_width
 from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -117,9 +119,12 @@ def configs(draw):
 
 
 def peak_db(frame):
-    """10 log10(L max|x|^2) of a time frame, the run's PAPR: its mean power is 1/L."""
+    """10 log10(L max|x|^2) of a time frame, the run's PAPR: its mean power is 1/L.
+
+    Floored at 0 dB as the run floors it: a constant envelope can round below 1.
+    """
     power = np.square(frame.samples.real) + np.square(frame.samples.imag)
-    return 10.0 * math.log10(frame.oversample * power.max())
+    return 10.0 * math.log10(max(frame.oversample * power.max(), 1.0))
 
 
 def rebuilt_trial(config, t):
@@ -171,6 +176,12 @@ def test_a_run_at_odd_l_and_any_n_matches_the_public_functions(n, v, method):
     assert_each_trial_matches_the_public_functions(config, range(config.trials))
 
 
+def chunk_width(config):
+    """Samples of the run's block per trial of the chunk: what its budget counts."""
+    c, n, oversample = harness._candidates(config), config.n_subcarriers, config.oversample
+    return pts_width(c, n, oversample) if config.method is Method.PTS else c * oversample * n
+
+
 @pytest.mark.parametrize("modulation", list(ModulationScheme))
 @pytest.mark.parametrize("oversample", [1, 2, 8])
 @pytest.mark.parametrize("method", list(Method))
@@ -178,8 +189,9 @@ def test_a_run_at_odd_l_and_any_n_matches_the_public_functions(n, v, method):
 @given(configs(), st.integers(2, 6))
 def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, drawn):
     # run_experiment searches its trials in chunks of T, sized from a private
-    # budget of candidate samples, and reuses one candidate block across
-    # them.  T=1 and a drawn T must give the bytes of the default T; more
+    # budget of samples per method (C*L*N per trial for none and SLM,
+    # pts_width for PTS), and reuses one candidate block across them.  T=1
+    # and a drawn T must give the bytes of the default T; more
     # trials than the drawn T make two chunks or more, the last often ragged.
     # Stream keys are derived in blocks of their own size: blocks of T+1
     # trials end inside a chunk.  The run picks once per chunk, whichever
@@ -196,9 +208,10 @@ def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, 
         default = run_experiment(config)
         assert sum(chunks) == config.trials
         for rows in (1, drawn):
-            budget = rows * harness._candidates(config) * config.oversample * config.n_subcarriers
+            budget = rows * chunk_width(config)
             chunks.clear()
             with (mock.patch.object(harness, "_CHUNK_SAMPLES", budget),
+                  mock.patch.object(harness, "_PTS_CHUNK_SAMPLES", budget),
                   mock.patch.object(harness, "_KEY_BLOCK", rows + 1)):
                 result = run_experiment(config)
             full, ragged = divmod(config.trials, rows)
@@ -213,6 +226,18 @@ def test_never_worse_than_the_unmodified_frame(config):
     result = run_experiment(config)
     unmodified = run_experiment(replace(config, method=Method.NONE))
     assert np.all(result.samples_db <= unmodified.samples_db)
+
+
+@SETTINGS
+@given(configs())
+# At N=8, L=1, seed 3, the constant-envelope winners of PTS trial 23 and SLM
+# trial 782 score L*max|x|^2 an ulp below 1: -9.6e-16 dB unfloored.
+@example(ExperimentConfig(n_subcarriers=8, oversample=1, method=Method.PTS, trials=24,
+                          master_seed=3))
+@example(ExperimentConfig(n_subcarriers=8, oversample=1, method=Method.SLM, trials=783,
+                          master_seed=3))
+def test_no_sample_is_below_0_db(config):
+    assert np.all(run_experiment(config).samples_db >= 0.0)
 
 
 @SETTINGS
