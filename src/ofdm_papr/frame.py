@@ -10,19 +10,21 @@ the PAPR is a ratio and does not depend on the overall scale.
 A run scores its candidates by the peak alone.  Every frame on the run
 path has energy exactly N: the BPSK/QPSK symbols, SLM rotations and PTS
 factors have unit magnitude and the transform is unitary, so by Parseval
-the mean power is 1/L and the PAPR is L*max|x|^2.  :func:`spend_peak_power`
-takes each row's max|x|^2 in place, in the run's own candidate block, and
-allocates nothing beyond its (..., C) result.  The public :func:`papr` keeps
-the time-domain mean, since a :class:`~ofdm_papr.modulation.FrequencyFrame`
-may hold any finite symbols.  Its mean is numpy's row mean over a C-order
-power array, so a frame scored inside a batch (``SlmResult.all_paprs``)
-yields exactly the value it yields alone, whatever the batch's layout; a
-property pins this, as one does for the transform.
+the mean power is 1/L and the PAPR is L*max|x|^2.  Every peak, mean and
+pick is scored through one power kernel, :func:`spend_power`, which
+spends its block for a fresh C-order (..., P) power array.  The public
+:func:`papr` keeps the time-domain mean, since a
+:class:`~ofdm_papr.modulation.FrequencyFrame` may hold any finite symbols.
+Its mean is numpy's row mean over the C-order power array, so a frame
+scored inside a batch (``SlmResult.all_paprs``) yields exactly the value
+it yields alone, whatever the batch's layout; a property pins this, as one
+does for the transform.
 
-The cores trust their input: :func:`check_work` bounds the size of what a
-call may allocate, and :func:`synthesize`, the SLM and PTS public functions
-and the experiment config call it first.  :func:`synthesize` is the
-validated entry to the transform.
+The cores trust their input: :func:`~ofdm_papr.modulation.check_work`
+bounds the size of what a call may allocate, and every public function
+that allocates a frame, a draw or a candidate block, and the experiment
+config, calls it first.  :func:`synthesize` is the validated entry to the
+transform.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import FrequencyFrame, check_signal, read_only_field
+from .modulation import FrequencyFrame, check_signal, check_work, read_only_field
 
 
 @dataclass(frozen=True)
@@ -67,24 +69,6 @@ class TimeFrame:
         return self.samples.size // self.oversample
 
 
-def check_work(n: int, oversample: int, candidates: int = 1) -> None:
-    """Reject a frame of L*N samples, or a block of C such frames, too large to search.
-
-    The limits: N >= 1, L >= 1, L*N at most 2**20, and C*L*N at most 2**24
-    complex samples (256 MiB), the candidate block of one trial.  Every
-    input size rule lives here: any N and L within them runs.
-    """
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
-    samples = oversample * n
-    if samples > 2 ** 20:
-        raise ValueError(f"L*N = {samples} exceeds 2**20")
-    if candidates * samples > 2 ** 24:
-        raise ValueError(f"{candidates} candidates of L*N = {samples} samples exceed 2**24")
-
-
 def pad_spectrum(symbols: np.ndarray, oversample: int, out: np.ndarray) -> np.ndarray:
     """Write (..., N) spectra into (..., L*N) `out`, zero-padded at the midpoint; return it."""
     n = symbols.shape[-1]
@@ -113,30 +97,29 @@ def time_samples(symbols: np.ndarray, oversample: int = 1, out: np.ndarray | Non
     return np.fft.ifft(pad_spectrum(symbols, oversample, out), norm="ortho", out=out)
 
 
-def papr_linear(samples: np.ndarray) -> np.ndarray:
-    """Peak power over mean power along the last axis; batch friendly.
-
-    The powers go into a C-order array, so numpy sums each row as one
-    contiguous run, bitwise as it sums that row alone.
-    """
-    p = np.square(samples.real, order="C")
-    p += np.square(samples.imag)
-    return p.max(axis=-1) / p.mean(axis=-1)
-
-
-def spend_peak_power(block: np.ndarray) -> np.ndarray:
-    """max |x|^2 of each row of a (..., P) complex block, spending the block.
+def spend_power(block: np.ndarray) -> np.ndarray:
+    """|x|^2 of every sample of a (..., P) complex128 block, spending the block.
 
     Squares the block's float64 view in place and adds the odd (imaginary)
-    lanes into the even ones, so each value is re^2 + im^2 rounded as
-    ``np.square(x.real) + np.square(x.imag)`` rounds it.  The block's last
+    lanes to the even ones, so each value is re^2 + im^2 rounded as
+    ``np.square(x.real) + np.square(x.imag)`` rounds it.  Returns a fresh
+    C-order (..., P) float64 array: numpy sums each of its rows as one
+    contiguous run, bitwise as it sums that row alone.  The block's last
     axis must be contiguous; afterwards it holds no candidate.
     """
     lanes = block.view(np.float64)
     np.square(lanes, out=lanes)
-    power = lanes[..., 0::2]
-    power += lanes[..., 1::2]
-    return power.max(axis=-1)
+    return np.add(lanes[..., 0::2], lanes[..., 1::2], order="C")
+
+
+def papr_linear(samples: np.ndarray) -> np.ndarray:
+    """Peak power over mean power along the last axis; batch friendly.
+
+    Scores a C-order complex128 copy, so any input layout or dtype gives
+    the bytes of that copy.
+    """
+    power = spend_power(np.array(samples, dtype=np.complex128, order="C"))
+    return power.max(axis=-1) / power.mean(axis=-1)
 
 
 _TIE_RTOL = 1e-12

@@ -28,8 +28,9 @@ results are also chunk-independent: the chunk size changes no byte.  The
 methods differ only in their candidate block, which the run allocates
 once.  For none and SLM it is (T, C, L*N), T sized by `_CHUNK_SAMPLES`:
 ``slm_candidates`` writes SLM's candidates into it, row 0 the unmodified
-frame, and they are scored L*max|x|^2 in place; a run without reduction is
-SLM with that identity candidate alone.  For PTS it is (T, ``pts_width``),
+frame, and each is scored L*max|x|^2 by ``spend_power``, which squares
+the block's own lanes; a run without reduction is SLM with that identity
+candidate alone.  For PTS it is (T, ``pts_width``),
 T sized by `_PTS_CHUNK_SAMPLES`, and ``pts_scores`` spends it as scratch: it
 bounds every candidate on a subsample, scores in full only those that can
 still win, and gives the rest +inf, so the pick and the samples are those
@@ -56,8 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import check_work, pick_min, spend_peak_power
-from .modulation import ModulationScheme
+from .frame import pick_min, spend_power
+from .modulation import ModulationScheme, check_work
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
@@ -352,8 +353,8 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
             scores = pts_scores(symbols[:k], partition, lead.pts_phase_order, oversample,
                                 block[:k])
         else:
-            scores = oversample * spend_peak_power(slm_candidates(
-                symbols[:k], rotations[:k], oversample, block[:k]))
+            scores = oversample * spend_power(slm_candidates(
+                symbols[:k], rotations[:k], oversample, block[:k])).max(axis=-1)
         for width, samples_db, side_info in picks:
             side_info[start:stop] = index = pick_min(scores[:, :width])
             # PaprSample.db's expression: np.log10 can be an ulp away from it.

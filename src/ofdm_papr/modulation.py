@@ -52,6 +52,25 @@ def check_signal(arr: np.ndarray, name: str) -> None:
         raise ValueError("empty or all-zero frame has undefined PAPR")
 
 
+def check_work(n: int, oversample: int, candidates: int = 1) -> None:
+    """Reject a frame of L*N samples, or a block of C such frames, too large to search.
+
+    The limits: N >= 1, L >= 1, L*N at most 2**20, and C*L*N at most 2**24
+    complex samples (256 MiB), the candidate block of one trial.  Every
+    input size rule lives here: any N and L within them runs.  The public
+    shells and the experiment config call it before they allocate.
+    """
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    if oversample < 1:
+        raise ValueError("oversample must be >= 1")
+    samples = oversample * n
+    if samples > 2 ** 20:
+        raise ValueError(f"L*N = {samples} exceeds 2**20")
+    if candidates * samples > 2 ** 24:
+        raise ValueError(f"{candidates} candidates of L*N = {samples} samples exceed 2**24")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class FrequencyFrame:
     """One OFDM symbol in the frequency domain: N complex subcarrier symbols.
@@ -94,5 +113,6 @@ def random_frame(n: int, scheme: ModulationScheme, rng: np.random.Generator) -> 
 
     Deterministic for a given generator state; the frame rejects n = 0.
     """
+    check_work(max(n, 1), 1)
     table = scheme.symbol_table
     return FrequencyFrame(table[rng.integers(0, table.size, n)])

@@ -40,9 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr, pick_min,
-                    spend_peak_power, time_samples)
-from .modulation import FrequencyFrame, read_only_field
+from .frame import (PaprSample, TimeFrame, is_unit_magnitude, papr, pick_min, spend_power,
+                    time_samples)
+from .modulation import FrequencyFrame, check_work, read_only_field
 from .slm import PHASE_ALPHABET
 
 
@@ -127,12 +127,14 @@ def make_partition(n: int, v_count: int, scheme: PartitionScheme,
 
 @lru_cache(maxsize=None)
 def _factor_matrix(w: int, v_count: int) -> np.ndarray:
-    """(W^V, V) candidate factors in lexicographic digit order, all-ones first."""
+    """(W^(V-1), V) orbit representatives, all-ones first: block 1 at +1.
+
+    The first W^(V-1) rows of the lexicographic W^V enumeration, the only ones a search reads.
+    """
     if w not in (2, 4):
         raise ValueError(f"unsupported phase order W={w}; choose 2 or 4")
-    if v_count < 1:
-        raise ValueError("v_count must be >= 1")
-    factors = PHASE_ALPHABET[np.indices((w,) * v_count).reshape(v_count, -1).T]
+    digits = np.indices((1,) + (w,) * (v_count - 1), dtype=np.uint8).reshape(v_count, -1)
+    factors = PHASE_ALPHABET[digits.T]
     factors.flags.writeable = False
     return factors
 
@@ -148,8 +150,18 @@ def _block_masks(partition: SubBlockPartition) -> np.ndarray:
 
 def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     """All W^V weighting vectors, lexicographic over per-position alphabet
-    indices; the alphabet is {+1,-1} for W=2 and {+1,-1,+j,-j} for W=4."""
-    return [PhaseVector(row, i) for i, row in enumerate(_factor_matrix(w, v_count))]
+    indices; the alphabet is {+1,-1} for W=2 and {+1,-1,+j,-j} for W=4.
+
+    Vector i is orbit representative i mod W^(V-1) with block 1 weighted
+    by alphabet entry i // W^(V-1).
+    """
+    if v_count < 1:
+        raise ValueError("v_count must be >= 1")
+    check_work(v_count, 1, w ** v_count)
+    orbits = _factor_matrix(w, v_count)
+    factors = np.tile(orbits, (w, 1))
+    factors[:, 0] = np.repeat(PHASE_ALPHABET[:w], len(orbits))
+    return [PhaseVector(row, i) for i, row in enumerate(factors)]
 
 
 def _signals(symbols: np.ndarray, partition: SubBlockPartition, oversample: int) -> np.ndarray:
@@ -166,11 +178,10 @@ def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
     frame, synthesized directly; row i is the weighted sum of the block
     signals under orbit representative i.
     """
-    v = partition.v_count
-    c = w ** (v - 1)                                   # the orbit representatives
     signals = _signals(symbols, partition, oversample)
     block[..., 0, :] = signals[..., 0, :]
-    np.matmul(_factor_matrix(w, v)[1:c], signals[..., 1:, :], out=block[..., 1:, :])
+    np.matmul(_factor_matrix(w, partition.v_count)[1:], signals[..., 1:, :],
+              out=block[..., 1:, :])
     return block
 
 
@@ -202,9 +213,9 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
     the best score so far by the relative margin `_PRUNE_MARGIN`:
     every candidate left scores above the tie window of
     :func:`~ofdm_papr.frame.pick_min`, whose pick then equals its pick over
-    every candidate's score, whatever the order among equal bounds.  A
-    scored row has the bytes that :func:`pts_candidates` and
-    :func:`~ofdm_papr.frame.spend_peak_power` give it, as a row of a
+    every candidate's score, whatever the order among equal bounds.  Every
+    peak is the max of a :func:`~ofdm_papr.frame.spend_power` row, and a
+    scored row has the bytes :func:`pts_candidates` gives it, as a row of a
     product of two factor rows (or of the whole product, when there is one
     factor row): a product of one row of several (BLAS's vector kernel) can
     differ from that row of the whole product in its last ulp.  `block` is
@@ -212,8 +223,8 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
     as scratch: the bounds fill its front, and the rows scored in full reuse
     it once the bounds are spent.
     """
-    c = w ** (partition.v_count - 1)
-    factors = _factor_matrix(w, partition.v_count)[:c]
+    factors = _factor_matrix(w, partition.v_count)
+    c = len(factors)
     stride = max(1, oversample // 2)
     signals = _signals(symbols, partition, oversample)
     sub = signals[..., ::stride]
@@ -221,11 +232,11 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
     bounds = scratch[:len(symbols) * c * sub.shape[-1]].reshape(len(symbols), c, -1)
     bounds[:, 0] = sub[:, 0]
     np.matmul(factors[1:], sub[:, 1:], out=bounds[:, 1:])
-    peaks = oversample * spend_peak_power(bounds)
+    peaks = oversample * spend_power(bounds).max(axis=-1)
     if stride == 1:
         return peaks
     scores = np.full(peaks.shape, np.inf)
-    scores[:, 0] = oversample * spend_peak_power(signals[:, 0])
+    scores[:, 0] = oversample * spend_power(signals[:, 0]).max(axis=-1)
     order = np.argsort(peaks[:, 1:], axis=-1) + 1
     ranked = np.take_along_axis(peaks, order, axis=-1)
     trials = np.arange(len(scores))
@@ -238,7 +249,7 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
         rows = order[trials, first:first + 2] if first + 2 < c else order[trials, -2:]
         pair = scratch[:rows.size * signals.shape[-1]].reshape(*rows.shape, -1)
         np.matmul(factors[rows], signals[trials, 1:], out=pair)
-        scores[trials[:, None], rows] = oversample * spend_peak_power(pair)
+        scores[trials[:, None], rows] = oversample * spend_power(pair).max(axis=-1)
     return scores
 
 
@@ -258,13 +269,14 @@ def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,
             f"of {freq.n_subcarriers}")
     c = w ** (partition.v_count - 1)
     check_work(partition.n, oversample, c)
+    factors = _factor_matrix(w, partition.v_count)   # rejects W not in {2, 4}
     candidates = np.empty((c, oversample * partition.n), dtype=np.complex128)
     pts_candidates(freq.symbols, partition, w, oversample, candidates)
-    best = int(pick_min(spend_peak_power(candidates.copy())))
+    best = int(pick_min(spend_power(candidates.copy()).max(axis=-1)))
     frame = TimeFrame(candidates[best], oversample)
     return PtsResult(
         frame=frame,
-        chosen=PhaseVector(_factor_matrix(w, partition.v_count)[best], best),
+        chosen=PhaseVector(factors[best], best),
         papr=papr(frame),
         combinations_searched=c,
     )

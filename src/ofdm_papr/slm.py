@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import (PaprSample, TimeFrame, check_work, is_unit_magnitude, papr, papr_linear,
-                    pick_min, spend_peak_power, time_samples)
-from .modulation import FrequencyFrame, read_only_field
+from .frame import PaprSample, TimeFrame, is_unit_magnitude, pick_min, spend_power, time_samples
+from .modulation import FrequencyFrame, check_work, read_only_field
 
 # PTS at W=2 uses the first two.  No part is -0.0 (as in -1.0j), so the run's
 # drawn rotations are, bit for bit, those of the public PhaseSequence.
@@ -68,8 +67,7 @@ def generate_phase_sequences(m_count: int, n: int,
     """
     if m_count < 1:
         raise ValueError("m_count must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_work(n, 1, m_count)
     rows = np.ones((m_count, n), dtype=np.complex128)
     rows[1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (m_count - 1, n))]
     return [PhaseSequence(row, m) for m, row in enumerate(rows)]
@@ -81,9 +79,10 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
 
     Picks as a run does, by max|x|^2 with ties toward the lowest index within
     a 1e-12 relative window, as in PTS; with unit-magnitude rotations every
-    candidate has the frame's energy, so that is the minimum PAPR.  The
-    reported PAPRs are the public :func:`~ofdm_papr.frame.papr`'s.  Pure
-    function of its inputs; the candidates are scored as one batch.
+    candidate has the frame's energy, so that is the minimum PAPR.  One
+    power pass over the batch of candidates gives the pick and every
+    reported PAPR, each the public :func:`~ofdm_papr.frame.papr`'s.  Pure
+    function of its inputs.
     """
     if not sequences:
         raise ValueError("at least one phase sequence is required")
@@ -97,11 +96,13 @@ def slm_reduce(freq: FrequencyFrame, sequences: list[PhaseSequence],
     candidates = np.empty((len(sequences), oversample * freq.n_subcarriers), dtype=np.complex128)
     slm_candidates(freq.symbols, np.stack([s.rotations for s in sequences]), oversample,
                    candidates)
-    best = int(pick_min(spend_peak_power(candidates.copy())))
-    frame = TimeFrame(candidates[best], oversample)
+    power = spend_power(candidates.copy())
+    peaks = power.max(axis=-1)
+    best = int(pick_min(peaks))
+    paprs = [PaprSample.from_linear(v) for v in peaks / power.mean(axis=-1)]
     return SlmResult(
-        frame=frame,
+        frame=TimeFrame(candidates[best], oversample),
         selected_index=best,
-        papr=papr(frame),
-        all_paprs=[PaprSample.from_linear(v) for v in papr_linear(candidates)],
+        papr=paprs[best],
+        all_paprs=paprs,
     )

@@ -359,6 +359,7 @@ def _exact_configs(n, oversample, modulation, slm_branches):
     return [base] + [replace(base, method=Method.SLM, slm_branches=m) for m in slm_branches]
 
 
+@pytest.mark.numpy_release
 @pytest.mark.slow
 @pytest.mark.parametrize("n, oversample", [(4, 1), (4, 8), (8, 1), (8, 8), (6, 1), (6, 3)])
 def test_the_run_ccdf_matches_the_exact_ccdf(n, oversample):
@@ -382,6 +383,7 @@ def test_the_run_ccdf_matches_the_exact_ccdf(n, oversample):
     assert worst <= 4.0
 
 
+@pytest.mark.numpy_release
 @pytest.mark.slow
 @pytest.mark.parametrize("n, oversample", [(8, 1), (8, 8), (16, 1), (16, 8), (12, 1),
                                             (12, 5)])
@@ -414,6 +416,7 @@ def _exact_pts_ccdf(n: int, oversample: int, modulation, w: int, scheme) -> np.n
     return _exact_min_ccdf(n, oversample, modulation, weights)
 
 
+@pytest.mark.numpy_release
 @pytest.mark.slow
 @pytest.mark.parametrize("n, modulation, w, scheme, oversample", [
     (8, QPSK, 2, PartitionScheme.ADJACENT, 1),
@@ -442,6 +445,7 @@ def test_the_pts_run_ccdf_matches_the_exact_ccdf(n, modulation, w, scheme, overs
     assert worst <= 4.0
 
 
+@pytest.mark.numpy_release
 @pytest.mark.parametrize("purpose, table, count", [
     (0, ModulationScheme.BPSK.symbol_table, 16),
     (0, QPSK.symbol_table, 16),

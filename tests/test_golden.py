@@ -69,6 +69,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+@pytest.mark.single_thread
+@pytest.mark.numpy_release
 @pytest.mark.parametrize("key", sorted(DIGESTS))
 def test_golden_digests(key):
     method, oversample, modulation, *partition = key.split("-")

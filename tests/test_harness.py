@@ -24,9 +24,11 @@ from ofdm_papr import (
     ModulationScheme,
     PartitionScheme,
     default_threshold_grid,
+    enumerate_phase_vectors,
     generate_phase_sequences,
     make_partition,
     pts_reduce,
+    random_frame,
     run_experiment,
     slm_reduce,
     synthesize,
@@ -36,7 +38,7 @@ from ofdm_papr import (
     write_result,
 )
 from ofdm_papr import harness
-from ofdm_papr.frame import pick_min, spend_peak_power
+from ofdm_papr.frame import pick_min, spend_power
 from ofdm_papr.pts import pts_candidates
 from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
 
@@ -159,11 +161,16 @@ def test_work_bounds_admit_their_edge(edge):
                        generate_phase_sequences(17, 16, np.random.default_rng(0)), 2 ** 16),
     lambda: pts_reduce(FrequencyFrame(np.ones(256)),                   # W^(V-1)*L*N = 4**7 * 2**11
                        make_partition(256, 8, PartitionScheme.ADJACENT), 4, 8),
-], ids=["synthesize", "slm_reduce", "pts_reduce"])
+    lambda: random_frame(2 ** 40, ModulationScheme.QPSK, np.random.default_rng(0)),   # 8 TiB
+    lambda: generate_phase_sequences(2 ** 31, 2 ** 31, np.random.default_rng(0)),
+    lambda: enumerate_phase_vectors(4, 20),                            # 4**20 vectors of 20
+], ids=["synthesize", "slm_reduce", "pts_reduce", "random_frame", "generate_phase_sequences",
+        "enumerate_phase_vectors"])
 def test_public_shells_bound_their_work(call):
     # The bounds of a run hold for a lone call too: L*N <= 2**20 and at most
-    # 2**24 candidate samples.  Each call is one step past a bound and must
-    # fail before it allocates the frame or the candidate block.
+    # 2**24 candidate samples.  The first three calls are one step past a
+    # bound; the draws are far past one, where numpy's own allocation would
+    # fail first.  Each must fail before it allocates.
     with pytest.raises(ValueError, match="exceed"):
         call()
 
@@ -335,7 +342,7 @@ def test_a_chunk_row_gets_what_it_gets_searched_alone(method, oversample, modula
             pts_candidates(symbols[rows], partition, w, oversample, block)
         else:
             slm_candidates(symbols[rows], rotations[rows], oversample, block)
-        scores = spend_peak_power(block.copy())
+        scores = spend_power(block.copy()).max(axis=-1)
         return pick_min(scores), scores, block
 
     chunk = search(slice(None))

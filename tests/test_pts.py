@@ -1,5 +1,7 @@
 """Partial transmit sequence: partitions, enumeration, and the search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -18,6 +20,7 @@ from ofdm_papr import (
     synthesize,
     time_samples,
 )
+from ofdm_papr import pts
 
 QPSK = ModulationScheme.QPSK
 
@@ -87,6 +90,8 @@ def test_partition_type_validation():
 def test_enumeration_counts():
     assert len(enumerate_phase_vectors(2, 4)) == 16
     assert len(enumerate_phase_vectors(4, 4)) == 256
+    with pytest.raises(ValueError, match="v_count must be >= 1"):
+        enumerate_phase_vectors(4, 0)
 
 
 def test_enumeration_order_and_alphabet():
@@ -109,6 +114,24 @@ def test_enumeration_order_and_alphabet():
 def test_unsupported_phase_order_rejected():
     with pytest.raises(ValueError, match="W="):
         enumerate_phase_vectors(3, 4)
+
+
+def test_the_factor_table_holds_only_the_orbit_representatives():
+    # A search reads the W^(V-1) rows with block 1 at +1, never the other
+    # (W-1)*W^(V-1): at W=4, V=8 the table is 2 MiB, not 8.
+    table = pts._factor_matrix(4, 8)
+    assert table.shape == (4 ** 7, 8) and table.nbytes == 2 * 2 ** 20
+    everything = np.array([vec.factors for vec in enumerate_phase_vectors(4, 8)])
+    assert table.tobytes() == everything[:4 ** 7].tobytes()
+
+
+def test_pts_reduce_rejects_the_phase_order_before_it_transforms():
+    freq = random_frame(16, QPSK, np.random.default_rng(0))
+    part = make_partition(16, 4, PartitionScheme.ADJACENT)
+    with mock.patch.object(pts, "time_samples", wraps=pts.time_samples) as transforms:
+        with pytest.raises(ValueError, match="W=3"):
+            pts_reduce(freq, part, 3, 8)
+    assert transforms.call_count == 0
 
 
 def test_phase_vector_validation():

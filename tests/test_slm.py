@@ -55,6 +55,8 @@ def test_sequences_deterministic():
 def test_sequence_count_must_be_positive():
     with pytest.raises(ValueError, match=">= 1"):
         generate_phase_sequences(0, 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=">= 1"):
+        generate_phase_sequences(4, 0, np.random.default_rng(0))
 
 
 def test_phase_sequence_validation():
