@@ -72,10 +72,6 @@ def _parse_thresholds(text: str):
     return threshold_grid(lo, hi, step)
 
 
-def _method_path(out: Path, method: Method) -> Path:
-    return out.with_name(f"{out.stem}_{method.value}{out.suffix}")
-
-
 def cli_main(argv=None) -> int:
     """Parse flags, run the experiment(s), write the output(s)."""
     try:
@@ -109,14 +105,13 @@ def cli_main(argv=None) -> int:
         print(_PARSER.format_usage(), end="", file=sys.stderr)
         return 1
 
+    out = args.out
     try:
         for config, result in zip(configs, results):
-            if args.out is None:
-                write_result(result, args.format, sys.stdout)
-            elif args.compare:
-                write_result(result, args.format, _method_path(args.out, config.method))
-            else:
-                write_result(result, args.format, args.out)
+            # --compare requires --out, and names each file after its method.
+            destination = (out.with_name(f"{out.stem}_{config.method.value}{out.suffix}")
+                           if args.compare else out or sys.stdout)
+            write_result(result, args.format, destination)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -258,14 +258,6 @@ class ExperimentConfig:
         check_work(self.n_subcarriers, self.oversample, _candidates(self))
         check_grid(self.thresholds_db)
 
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.value if isinstance(value, Enum) else value
-        out["thresholds_db"] = np.asarray(self.thresholds_db, dtype=np.float64).tolist()
-        return out
-
 
 @dataclass(eq=False)
 class ExperimentResult:
@@ -329,8 +321,9 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
     rows = max(1, min(trials, budget // math.prod(shape)))
 
     # One set of chunk rows and one candidate block for the whole search: the
-    # chunks reuse them, so a trial allocates no candidate-sized array.  SLM
-    # writes its candidates into the block, and PTS spends it as scratch.
+    # chunks reuse them.  Scoring allocates `spend_power`'s float64 power
+    # array per chunk, (k, C, L*N) for none and SLM, half the bytes it scores.
+    # SLM writes its candidates into the block, and PTS spends it as scratch.
     # SLM's candidate 0 is the unmodified frame, so none picks from that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (None if lead.method is Method.PTS
@@ -389,43 +382,42 @@ def _candidates(config: ExperimentConfig) -> int:
 
 
 def write_result(result: ExperimentResult, format: str, destination) -> None:
-    """Serialize a result as CSV (threshold/probability rows) or JSON.
+    """Render a result as CSV or JSON and write it to a path or an open text sink.
 
-    destination is a path or an open text sink.  CSV carries the header
-    ``papr_db,ccdf`` and one 6-decimal row per threshold; JSON carries the
-    config echo, curves, samples, and timing: ``elapsed_seconds`` is the
-    wall time of the search that produced the result, which every result
-    of a shared search reports in full, plus the result's own CCDF.
+    The result is rendered to one string and written with one call.  CSV
+    carries the header ``papr_db,ccdf`` and one 6-decimal row per threshold.
+    JSON is one compact object with the keys ``config`` (every config field
+    but the grid, enums by their value), ``thresholds_db`` (the grid),
+    ``ccdf``, ``analytic_ccdf`` (only when the result carries one),
+    ``samples_db``, ``elapsed_seconds`` and ``min_reliable_ccdf``
+    (10/trials), then a newline.  ``elapsed_seconds`` is the wall time of
+    the search that produced the result, which every result of a shared
+    search reports in full, plus the result's own CCDF.
     """
     fmt = str(format).lower()
-    if fmt not in ("csv", "json"):
+    curve = result.empirical
+    if fmt == "csv":
+        text = "papr_db,ccdf\n" + "".join(
+            f"{t:.6f},{p:.6f}\n" for t, p in zip(curve.thresholds_db, curve.probabilities))
+    elif fmt == "json":
+        config = result.config
+        echo = {f.name: getattr(config, f.name) for f in fields(config)}
+        del echo["thresholds_db"]       # the top-level grid
+        payload = {
+            "config": {k: v.value if isinstance(v, Enum) else v for k, v in echo.items()},
+            "thresholds_db": curve.thresholds_db.tolist(),
+            "ccdf": curve.probabilities.tolist(),
+        }
+        if result.analytic is not None:
+            payload["analytic_ccdf"] = result.analytic.probabilities.tolist()
+        payload.update(samples_db=result.samples_db.tolist(),
+                       elapsed_seconds=result.elapsed_seconds,
+                       min_reliable_ccdf=10.0 / config.trials)
+        text = json.dumps(payload) + "\n"
+    else:
         raise ValueError(f"unknown output format {format!r}")
     if isinstance(destination, (str, Path)):
         with open(destination, "w") as sink:
-            _write(result, fmt, sink)
+            sink.write(text)
     else:
-        _write(result, fmt, destination)
-
-
-def _write(result: ExperimentResult, fmt: str, sink) -> None:
-    if fmt == "csv":
-        sink.write("papr_db,ccdf\n")
-        for t, p in zip(result.empirical.thresholds_db, result.empirical.probabilities):
-            sink.write(f"{t:.6f},{p:.6f}\n")
-        return
-    payload = {
-        "config": result.config.as_dict(),
-        "thresholds_db": result.empirical.thresholds_db.tolist(),
-        "ccdf": result.empirical.probabilities.tolist(),
-    }
-    if result.analytic is not None:
-        payload["analytic_ccdf"] = result.analytic.probabilities.tolist()
-    payload.update({
-        "samples_db": result.samples_db.tolist(),
-        "seed": result.config.master_seed,
-        "trials": result.config.trials,
-        "elapsed_seconds": result.elapsed_seconds,
-        "min_reliable_ccdf": 10.0 / result.config.trials,
-    })
-    json.dump(payload, sink, indent=2)
-    sink.write("\n")
+        destination.write(text)

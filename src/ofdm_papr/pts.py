@@ -45,6 +45,12 @@ from .frame import (PaprSample, TimeFrame, is_unit_magnitude, papr, pick_min, sp
 from .modulation import FrequencyFrame, check_work, read_only_field
 from .slm import PHASE_ALPHABET
 
+# A PhaseVector costs its V factors plus 224-290 B of object and array
+# overhead (tracemalloc: W=4, V=7 and W=2, V=12).  The work bound of
+# `enumerate_phase_vectors` counts that overhead as 21 complex samples
+# (336 B), so it bounds the objects the call builds, not only their factors.
+_VECTOR_OVERHEAD = 21
+
 
 class PartitionScheme(Enum):
     ADJACENT = "adjacent"
@@ -157,7 +163,7 @@ def enumerate_phase_vectors(w: int, v_count: int) -> list[PhaseVector]:
     """
     if v_count < 1:
         raise ValueError("v_count must be >= 1")
-    check_work(v_count, 1, w ** v_count)
+    check_work(v_count + _VECTOR_OVERHEAD, 1, w ** v_count)
     orbits = _factor_matrix(w, v_count)
     factors = np.tile(orbits, (w, 1))
     factors[:, 0] = np.repeat(PHASE_ALPHABET[:w], len(orbits))

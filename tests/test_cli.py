@@ -1,13 +1,17 @@
 """Command-line surface: flags, outputs, exit statuses."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import ofdm_papr
 from ofdm_papr import harness
 from ofdm_papr.cli import _PARSER, cli_main
 
@@ -137,6 +141,32 @@ def test_the_readme_flags_are_the_parsers_long_options():
     options = {option for action in _PARSER._actions for option in action.option_strings
                if option.startswith("--")}
     assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == options - {"--help"}
+
+
+def test_the_readme_json_keys_are_the_writers(tmp_path):
+    section = README.read_text().split("\n## Output formats\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^- `(\w+)`", section, re.M)
+    out = tmp_path / "r.json"
+    for analytic in ([], ["--analytic"]):
+        assert cli_main(BASE + ["--format", "json", "--out", str(out)] + analytic) == 0
+        assert list(json.loads(out.read_text())) == [
+            key for key in keys if analytic or key != "analytic_ccdf"]
+
+
+def run_module(*args):
+    """`python -m ofdm_papr.cli` in a fresh interpreter that imports this package."""
+    src = str(Path(ofdm_papr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "ofdm_papr.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_the_module_entry_point_exits_with_cli_mains_status():
+    done = run_module("--n", "16", "--trials", "20", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["samples_db"]) == 20
+    assert run_module("--n", "0").returncode == 1
 
 
 def readme_commands():

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import typing
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -164,13 +164,18 @@ def test_work_bounds_admit_their_edge(edge):
     lambda: random_frame(2 ** 40, ModulationScheme.QPSK, np.random.default_rng(0)),   # 8 TiB
     lambda: generate_phase_sequences(2 ** 31, 2 ** 31, np.random.default_rng(0)),
     lambda: enumerate_phase_vectors(4, 20),                            # 4**20 vectors of 20
+    lambda: enumerate_phase_vectors(4, 10),                            # 2**20 objects of 10 + 21
+    lambda: enumerate_phase_vectors(2, 19),                            # 2**19 objects of 19 + 21
 ], ids=["synthesize", "slm_reduce", "pts_reduce", "random_frame", "generate_phase_sequences",
-        "enumerate_phase_vectors"])
+        "enumerate_phase_vectors", "enumerate_phase_vectors_4_10",
+        "enumerate_phase_vectors_2_19"])
 def test_public_shells_bound_their_work(call):
     # The bounds of a run hold for a lone call too: L*N <= 2**20 and at most
     # 2**24 candidate samples.  The first three calls are one step past a
     # bound; the draws are far past one, where numpy's own allocation would
-    # fail first.  Each must fail before it allocates.
+    # fail first.  The last two are one step past the bound on the
+    # PhaseVector objects, which counts each as V + 21 samples.  Each must
+    # fail before it allocates.
     with pytest.raises(ValueError, match="exceed"):
         call()
 
@@ -255,21 +260,25 @@ def test_array_holding_results_compare_and_hash_as_objects():
 
 
 def test_csv_format_is_pinned():
-    sink = io.StringIO()
+    # Each result reaches its sink as one rendered string.
+    sink = mock.Mock()
     write_result(_dummy_result(), "csv", sink)
-    assert sink.getvalue() == "papr_db,ccdf\n6.000000,0.500000\n9.000000,0.010000\n"
+    sink.write.assert_called_once_with("papr_db,ccdf\n6.000000,0.500000\n9.000000,0.010000\n")
 
 
 def test_json_schema():
-    sink = io.StringIO()
+    sink = mock.Mock()
     write_result(_dummy_result(), "json", sink)
-    payload = json.loads(sink.getvalue())
+    sink.write.assert_called_once()
+    text = sink.write.call_args.args[0]
+    assert text.endswith("}\n") and text.count("\n") == 1
+    payload = json.loads(text)
     assert set(payload) == {"config", "thresholds_db", "ccdf", "samples_db",
-                            "seed", "trials", "elapsed_seconds", "min_reliable_ccdf"}
+                            "elapsed_seconds", "min_reliable_ccdf"}
     assert payload["thresholds_db"] == [6.0, 9.0]
     assert payload["ccdf"] == [0.5, 0.01]
-    assert payload["seed"] == 99
-    assert payload["trials"] == 2
+    assert payload["config"]["master_seed"] == 99
+    assert payload["config"]["trials"] == 2
     assert payload["config"]["modulation"] == "qpsk"
     assert payload["config"]["method"] == "none"
     assert payload["min_reliable_ccdf"] == 5.0
@@ -281,14 +290,36 @@ def test_json_schema():
     assert json.loads(sink.getvalue())["analytic_ccdf"] == [0.4, 0.02]
 
 
-def test_json_round_trip_is_exact():
-    result = run_experiment(quick_config(trials=40), analytic=True)
+@pytest.mark.parametrize("config", [
+    quick_config(trials=40),
+    quick_config(trials=40, method=Method.SLM, master_seed=2 ** 64 - 1),
+    quick_config(trials=24, method=Method.PTS, pts_phase_order=2,
+                 partition_scheme=PartitionScheme.INTERLEAVED),
+    quick_config(trials=40, method=Method.SLM, modulation=ModulationScheme.BPSK),
+], ids=["none", "slm-top-seed", "pts", "slm-bpsk"])
+def test_json_round_trip_is_exact(config):
+    result = run_experiment(config, analytic=True)
     sink = io.StringIO()
     write_result(result, "json", sink)
     payload = json.loads(sink.getvalue())
+    # The echo holds every field but the grid, enums by their value: it and
+    # the top-level grid rebuild the config.
+    echo = dict(payload["config"], thresholds_db=np.array(payload["thresholds_db"]))
+    for name, kind in (("modulation", ModulationScheme), ("method", Method),
+                       ("partition_scheme", PartitionScheme)):
+        echo[name] = kind(echo[name])
+    rebuilt = ExperimentConfig(**echo)
+    for f in fields(config):
+        np.testing.assert_equal(getattr(rebuilt, f.name), getattr(config, f.name))
     assert payload["thresholds_db"] == result.empirical.thresholds_db.tolist()
     assert payload["ccdf"] == result.empirical.probabilities.tolist()
+    # Only the methods with a closed form carry the analytic curve.
+    assert (result.analytic is None) == (config.method is Method.PTS)
+    assert payload.get("analytic_ccdf") == (
+        None if result.analytic is None else result.analytic.probabilities.tolist())
     assert payload["samples_db"] == result.samples_db.tolist()
+    assert payload["elapsed_seconds"] == result.elapsed_seconds
+    assert payload["min_reliable_ccdf"] == 10.0 / config.trials
 
 
 def test_write_result_to_path(tmp_path):
