@@ -135,6 +135,54 @@ def pick_min(scores: np.ndarray) -> np.ndarray:
     return (scores <= scores.min(axis=-1, keepdims=True) * (1.0 + _TIE_RTOL)).argmax(axis=-1)
 
 
+def search_width(c: int, n: int, oversample: int, stride: int) -> int:
+    """Scratch samples a pruned search spends per trial: C bounds of
+    ceil(L*N/s) points or two full rows of L*N, whichever is larger."""
+    return max(c * -(-oversample * n // stride), min(c, 2) * oversample * n)
+
+
+# Relative slack before a candidate is pruned.  A bound comes from another
+# transform or product than its candidate's full score, so it may exceed
+# that score by a few ulps; a candidate 1e-9 above the best is still far
+# outside pick_min's 1e-12 tie window.
+_PRUNE_MARGIN = 1e-9
+
+
+def _prune(bounds: np.ndarray, scores: np.ndarray, widths, score_rows, step: int
+           ) -> np.ndarray:
+    """Score in full the candidates that can still win; return `scores`.
+
+    `bounds` (k, C) lower-bound each candidate's score, and `scores` holds
+    row 0's full score and +inf elsewhere.  For each sorted member width
+    w_j, the last C, the candidates in [w_(j-1), w_j) are scored in
+    ascending order of their bounds, `step` at a time for every trial still
+    searching, by ``score_rows(trials, rows)`` for (t, step) `rows`; at
+    step 2 a lone last row pairs with the one before it, scored again.  A
+    trial stops at the first bound above the best score over [0, w_j)
+    times 1 + `_PRUNE_MARGIN`: every candidate left scores above
+    :func:`pick_min`'s tie window over any prefix that holds it, so each
+    member picks what it picks from every candidate's score.  Against the
+    best over all C, a candidate beyond w_j could prune w_j's winner.
+    """
+    start = 1
+    for width in widths:
+        span = width - start
+        if span <= 0:
+            continue
+        order = np.argsort(bounds[:, start:width], axis=-1) + start
+        ranked = np.take_along_axis(bounds, order, axis=-1)
+        trials = np.arange(len(scores))
+        for first in range(0, span, step):
+            best = scores[trials, :width].min(axis=-1)
+            trials = trials[ranked[trials, first] <= best * (1.0 + _PRUNE_MARGIN)]
+            if not trials.size:
+                break
+            rows = order[trials, first:first + step] if first + step <= span else order[trials, -2:]
+            scores[trials[:, None], rows] = score_rows(trials, rows)
+        start = width
+    return scores
+
+
 def is_unit_magnitude(values: np.ndarray) -> bool:
     """Every |value| within 1e-14 of 1; NaN and inf fail.
 

@@ -25,20 +25,19 @@ Trials run in chunks: each trial draws from its own streams into one row
 of the chunk, and the chunk is synthesized, scored and searched in one
 batch.  Every row of a batch is computed exactly as it would be alone, so
 results are also chunk-independent: the chunk size changes no byte.  The
-methods differ only in their candidate block, which the run allocates
-once.  For none and SLM it is (T, C, L*N), T sized by `_CHUNK_SAMPLES`:
-``slm_candidates`` writes SLM's candidates into it, row 0 the unmodified
-frame, and each is scored L*max|x|^2 by ``spend_power``, which squares
-the block's own lanes; a run without reduction is SLM with that identity
-candidate alone.  For PTS it is (T, ``pts_width``),
-T sized by `_PTS_CHUNK_SAMPLES`, and ``pts_scores`` spends it as scratch: it
-bounds every candidate on a subsample, scores in full only those that can
-still win, and gives the rest +inf, so the pick and the samples are those
-of scoring them all.  One pick serves both, and its sample is floored at
-0 dB.  A trial's SLM candidates at M are the first M of its
-candidates at any larger M, so none and SLM runs on shared frames share one
-search at their largest M, each picking from its own prefix of the scores
-(``run_experiments``).
+methods differ only in their search, and every search spends one
+(T, ``search_width``) scratch block, which the run allocates once: T is
+sized by `_CHUNK_SAMPLES` for none and SLM, and by `_PTS_CHUNK_SAMPLES`
+for PTS.  ``slm_scores`` and ``pts_scores`` bound every candidate on a
+subsample, score row 0, the unmodified frame, and then only the
+candidates that can still win, L*max|x|^2 by ``spend_power``, and give
+the rest +inf, so the pick and the samples are those of scoring them all.
+A run without reduction is SLM with that identity candidate alone.  One
+pick serves every method, and its sample is floored at 0 dB.  A trial's
+SLM candidates at M are the first M of its candidates at any larger M, so
+none and SLM runs on shared frames share one search at their largest M,
+each picking from its own prefix of the scores (``run_experiments``): the
+search prunes each prefix against that prefix's own best.
 
 SLM scrambling sequences are drawn fresh per trial so the M candidates of
 a trial are statistically independent; the PTS partition is fixed per run,
@@ -57,27 +56,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import pick_min, spend_power
+from .frame import pick_min, search_width
 from .modulation import ModulationScheme, check_work
 # Unused here; perfbench/child.py reads the span of modulation.random_frame,
 # which its tracer finds only through this module's bindings.
 from .modulation import random_frame  # noqa: F401
-from .pts import PartitionScheme, make_partition, pts_scores, pts_width
-from .slm import PHASE_ALPHABET, slm_candidates
+from .pts import PartitionScheme, make_partition, pts_scores, pts_stride
+from .slm import PHASE_ALPHABET, slm_scores, slm_stride
 from .stats import CcdfCurve, check_grid, empirical_ccdf, theoretical_curve
 
 _STREAM_FRAME = 0
 _STREAM_METHOD = 1
 _STREAM_PARTITION = 2
 
-# Candidate samples per chunk of none or SLM trials, C*L*N per trial.
-# Budgets of 2^18 and 2^20 were no faster at L=8 and raised the peak RSS
-# from 35 to 40 and 55 MiB (ROADMAP, "Measured earlier, not worth retrying
-# as they stand"); 2^16 slowed the N=64, L=1 runs and raised their peak RSS
-# by 2.7 MiB.
-_CHUNK_SAMPLES = 2 ** 12
+# Scratch samples per chunk of none or SLM trials, `search_width` per trial:
+# 4 trials at N=128, L=8, M=16, in the 256 KiB that one trial's C*L*N
+# samples take, and 64 at N=64, L=1, M=4.  At N=128, L=8, M=16 a trial
+# took 175-178 us at 2^12 (one trial per chunk, no faster than scoring
+# every candidate), 127-131 at 2^13 and 103-104 at 2^14 (2 vCPUs, numpy
+# 2.4.6, single-threaded OpenBLAS).
+_CHUNK_SAMPLES = 2 ** 14
 
-# Scratch samples per chunk of PTS trials, `pts_width` per trial: 4 trials
+# Scratch samples per chunk of PTS trials, `search_width` per trial: 4 trials
 # at N=128, L=8, V=4, W=4, in the 1 MiB that one trial's C*L*N samples take.
 # Against 2^12 of C*L*N, one trial per chunk there, a trial took 178-181
 # in place of 222-227 us, and 28 in place of 107-111 us at N=16 (2 vCPUs,
@@ -85,9 +85,9 @@ _CHUNK_SAMPLES = 2 ** 12
 _PTS_CHUNK_SAMPLES = 2 ** 16
 
 # Trials whose stream keys one `_seed_words` pass derives.  Sized apart from
-# the chunk, which holds one SLM trial at L=8 and four PTS trials at
-# N=128: a pass over 1 or 16 trials costs 55-59 us, over 2^12 trials 280 us
-# (2 vCPUs, numpy 2.4.6).
+# the chunk, which holds four SLM or PTS trials at N=128, L=8: a pass over
+# 1 or 16 trials costs 55-59 us, over 2^12 trials 280 us (2 vCPUs, numpy
+# 2.4.6).
 _KEY_BLOCK = 2 ** 12
 
 # numpy's SeedSequence pool hash (numpy/random/bit_generator.pyx), which the
@@ -315,22 +315,23 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
     if lead.method is Method.PTS:
         partition = make_partition(n, lead.pts_blocks, lead.partition_scheme,
                                    trial_stream(seed, _STREAM_PARTITION))
-        budget, shape = _PTS_CHUNK_SAMPLES, (pts_width(c, n, oversample),)
+        budget, stride = _PTS_CHUNK_SAMPLES, pts_stride(oversample)
     else:
-        budget, shape = _CHUNK_SAMPLES, (c, oversample * n)
-    rows = max(1, min(trials, budget // math.prod(shape)))
+        budget, stride = _CHUNK_SAMPLES, slm_stride(c, oversample)
+    samples = search_width(c, n, oversample, stride)
+    rows = max(1, min(trials, budget // samples))
 
-    # One set of chunk rows and one candidate block for the whole search: the
+    # One set of chunk rows and one scratch block for the whole search: the
     # chunks reuse them.  Scoring allocates `spend_power`'s float64 power
-    # array per chunk, (k, C, L*N) for none and SLM, half the bytes it scores.
-    # SLM writes its candidates into the block, and PTS spends it as scratch.
-    # SLM's candidate 0 is the unmodified frame, so none picks from that one alone.
+    # array per call, half the bytes it scores.  SLM's candidate 0 is the
+    # unmodified frame, so none picks from that one alone.
     symbols = np.empty((rows, n), dtype=np.complex128)
     rotations = (None if lead.method is Method.PTS
                  else np.ones((rows, c, n), dtype=np.complex128))
-    block = np.empty((rows,) + shape, dtype=np.complex128)
+    block = np.empty((rows, samples), dtype=np.complex128)
     picks = [(_candidates(config), np.empty(trials), np.empty(trials, dtype=np.int64))
              for config in members]
+    widths = sorted({width for width, _, _ in picks})   # the member prefixes the search prunes
     frames = _trial_draws(seed, _STREAM_FRAME, range(trials), rows,
                           lead.modulation.symbol_table, n)
     phases = (_trial_draws(seed, _STREAM_METHOD, range(trials), rows, PHASE_ALPHABET, (c - 1) * n)
@@ -346,8 +347,7 @@ def _search(members: list[ExperimentConfig], analytic: bool) -> list[ExperimentR
             scores = pts_scores(symbols[:k], partition, lead.pts_phase_order, oversample,
                                 block[:k])
         else:
-            scores = oversample * spend_power(slm_candidates(
-                symbols[:k], rotations[:k], oversample, block[:k])).max(axis=-1)
+            scores = slm_scores(symbols[:k], rotations[:k], oversample, block[:k], widths)
         for width, samples_db, side_info in picks:
             side_info[start:stop] = index = pick_min(scores[:, :width])
             # PaprSample.db's expression: np.log10 can be an ulp away from it.

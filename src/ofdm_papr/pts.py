@@ -25,11 +25,12 @@ Selection details:
   oversampling result: Tellambura, IEEE Commun. Lett. 2001; Wunder &
   Boche, IEEE Trans. Inf. Theory 2003), so a candidate whose bound exceeds
   the best full score by more than a 1e-9 relative margin cannot reach the
-  tie window, and is never built.  It picks what scoring every candidate
-  picks, bytes included.  At L <= 3 (s = 1) the subsample is the frame,
-  the bounds are the scores, and nothing is pruned.  :func:`pts_reduce`
-  scores every candidate and stays the run's reference: the properties
-  hold each run trial to it.
+  tie window, and is never built.  The pruning loop is the one SLM's
+  search runs too, :func:`~ofdm_papr.frame._prune`.  It picks what
+  scoring every candidate picks, bytes included.  At L <= 3 (s = 1) the
+  subsample is the frame, the bounds are the scores, and nothing is
+  pruned.  :func:`pts_reduce` scores every candidate and stays the run's
+  reference: the properties hold each run trial to it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frame import (PaprSample, TimeFrame, is_unit_magnitude, papr, pick_min, spend_power,
-                    time_samples)
+from .frame import (PaprSample, TimeFrame, _prune, is_unit_magnitude, papr, pick_min,
+                    spend_power, time_samples)
 from .modulation import FrequencyFrame, check_work, read_only_field
 from .slm import PHASE_ALPHABET
 
@@ -191,17 +192,9 @@ def pts_candidates(symbols: np.ndarray, partition: SubBlockPartition, w: int,
     return block
 
 
-def pts_width(c: int, n: int, oversample: int) -> int:
-    """Scratch samples :func:`pts_scores` spends per trial: C bounds or two full rows."""
-    stride = max(1, oversample // 2)
-    return max(c * -(-oversample * n // stride), min(c, 2) * oversample * n)
-
-
-# Relative slack before a candidate is pruned.  A bound comes from another
-# product than its candidate's full score, so it may exceed that score by a
-# few ulps; a candidate 1e-9 above the best is still far outside pick_min's
-# 1e-12 tie window.
-_PRUNE_MARGIN = 1e-9
+def pts_stride(oversample: int) -> int:
+    """The bound's sample stride s = max(1, L // 2): a subsample of ceil(L*N/s) points."""
+    return max(1, oversample // 2)
 
 
 def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversample: int,
@@ -210,28 +203,26 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
 
     A score is L*max|x|^2, or +inf where the candidate cannot win.  Each
     candidate is first bounded by L times its peak over every s-th sample,
-    s = max(1, L // 2), ceil(L*N/s) points (2N at even L), which never
+    s = :func:`pts_stride`, ceil(L*N/s) points (2N at even L), which never
     exceeds its score.  At s = 1 the bound product is the one
     :func:`pts_candidates` forms, and the bounds are the scores.
-    Otherwise row 0 is scored in full, then each trial's other candidates
-    in ascending order of their bounds, two at a time in one stacked
-    product for every trial still searching, until the next bound exceeds
-    the best score so far by the relative margin `_PRUNE_MARGIN`:
-    every candidate left scores above the tie window of
-    :func:`~ofdm_papr.frame.pick_min`, whose pick then equals its pick over
-    every candidate's score, whatever the order among equal bounds.  Every
-    peak is the max of a :func:`~ofdm_papr.frame.spend_power` row, and a
-    scored row has the bytes :func:`pts_candidates` gives it, as a row of a
-    product of two factor rows (or of the whole product, when there is one
-    factor row): a product of one row of several (BLAS's vector kernel) can
+    Otherwise row 0 is scored in full, and the search's one pruning loop
+    (:func:`~ofdm_papr.frame._prune`, with the single width C) scores the
+    others in ascending order of their bounds, two at a time in one
+    stacked product for every trial still searching, until the next bound
+    exceeds the best score so far by its relative margin.  Every peak is
+    the max of a :func:`~ofdm_papr.frame.spend_power` row, and a scored row
+    has the bytes :func:`pts_candidates` gives it, as a row of a product of
+    two factor rows (or of the whole product, when there is one factor
+    row): a product of one row of several (BLAS's vector kernel) can
     differ from that row of the whole product in its last ulp.  `block` is
-    the caller's C-contiguous complex128 (k, :func:`pts_width`) block, spent
-    as scratch: the bounds fill its front, and the rows scored in full reuse
-    it once the bounds are spent.
+    the caller's C-contiguous complex128 (k, :func:`~ofdm_papr.frame.search_width`)
+    block, spent as scratch: the bounds fill its front, and the rows
+    scored in full reuse it once the bounds are spent.
     """
     factors = _factor_matrix(w, partition.v_count)
     c = len(factors)
-    stride = max(1, oversample // 2)
+    stride = pts_stride(oversample)
     signals = _signals(symbols, partition, oversample)
     sub = signals[..., ::stride]
     scratch = block.reshape(-1)
@@ -243,20 +234,13 @@ def pts_scores(symbols: np.ndarray, partition: SubBlockPartition, w: int, oversa
         return peaks
     scores = np.full(peaks.shape, np.inf)
     scores[:, 0] = oversample * spend_power(signals[:, 0]).max(axis=-1)
-    order = np.argsort(peaks[:, 1:], axis=-1) + 1
-    ranked = np.take_along_axis(peaks, order, axis=-1)
-    trials = np.arange(len(scores))
-    for first in range(0, c - 1, 2):
-        best = scores[trials].min(axis=-1)
-        trials = trials[ranked[trials, first] <= best * (1.0 + _PRUNE_MARGIN)]
-        if not trials.size:
-            break
-        # A lone last row pairs with the one before it, scored again.
-        rows = order[trials, first:first + 2] if first + 2 < c else order[trials, -2:]
+
+    def score_rows(trials, rows):
         pair = scratch[:rows.size * signals.shape[-1]].reshape(*rows.shape, -1)
         np.matmul(factors[rows], signals[trials, 1:], out=pair)
-        scores[trials[:, None], rows] = oversample * spend_power(pair).max(axis=-1)
-    return scores
+        return oversample * spend_power(pair).max(axis=-1)
+
+    return _prune(peaks, scores, (c,), score_rows, 2)
 
 
 def pts_reduce(freq: FrequencyFrame, partition: SubBlockPartition, w: int,

@@ -207,23 +207,32 @@ def test_a_run_hashes_stream_keys_once_per_key_block(method):
         assert passes.call_count == blocks * streams_drawn
 
 
-@pytest.mark.parametrize("n, trials, chunks", [(128, 9, [4, 4, 1]), (16, 40, [32, 8])])
-def test_a_pts_chunk_holds_what_its_pruned_search_spends(n, trials, chunks):
-    # At L=8 the PTS search spends C bounds of 2N points per trial, not C
-    # rows of L*N, so a chunk of 2^16 scratch samples holds 4 trials at
-    # N=128, V=4, W=4: the 1 MiB that one trial's 64 rows of 1024 samples
-    # take.  At N=16 it holds 32.
-    config = ExperimentConfig(n_subcarriers=n, oversample=8, method=Method.PTS, pts_blocks=4,
-                              pts_phase_order=4, trials=trials)
+@pytest.mark.parametrize("method, n, oversample, c, trials, chunks, budget", [
+    (Method.PTS, 128, 8, 64, 9, [4, 4, 1], 2 ** 16),
+    (Method.PTS, 16, 8, 64, 40, [32, 8], 2 ** 16),
+    (Method.SLM, 128, 8, 16, 9, [4, 4, 1], 2 ** 14),
+    (Method.SLM, 64, 1, 4, 100, [64, 36], 2 ** 14),
+])
+def test_a_chunk_holds_what_its_pruned_search_spends(method, n, oversample, c, trials, chunks,
+                                                     budget):
+    # At L=8 a search spends C bounds of 2N points per trial, not C rows of
+    # L*N.  So a PTS chunk of 2^16 scratch samples holds 4 trials at N=128,
+    # V=4, W=4 (C=64): the 1 MiB that one trial's 64 rows of 1024 samples
+    # take; at N=16 it holds 32.  An SLM chunk of 2^14 holds 4 trials at
+    # N=128, M=16: the 256 KiB that one trial's 16 rows of 1024 take.  At
+    # L=1 the bounds are the candidates: 64 trials at N=64, M=4.
+    config = ExperimentConfig(n_subcarriers=n, oversample=oversample, method=method,
+                              slm_branches=c, pts_blocks=4, pts_phase_order=4, trials=trials)
+    name, at = ("pts_scores", 3) if method is Method.PTS else ("slm_scores", 2)
     seen = []
 
-    def spy(symbols, partition, w, oversample, block, search=harness.pts_scores):
-        seen.append((len(symbols), block.size))
-        return search(symbols, partition, w, oversample, block)
+    def spy(symbols, *args, search=getattr(harness, name)):
+        seen.append((len(symbols), args[at].size))
+        return search(symbols, *args)
 
-    with mock.patch.object(harness, "pts_scores", spy):
+    with mock.patch.object(harness, name, spy):
         run_experiment(config)
-    assert seen == [(k, k * 2 ** 16 // chunks[0]) for k in chunks]
+    assert seen == [(k, k * budget // chunks[0]) for k in chunks]
 
 
 def test_default_threshold_grid_shape():

@@ -40,6 +40,9 @@ drifting apart, and hold the run path to its guarantees:
   score bytes of the search that scores every candidate, ties included,
   and each candidate it scores has that search's bytes, at every L (at
   L <= 3 it scores every candidate);
+* the run's SLM search, which bounds each candidate on a shorter
+  transform, does the same for each member width of a shared search, at
+  every L (at L <= 3 and prime L it scores every candidate);
 * a product of any two factor rows or more with the block signals equals,
   byte for byte, those rows of the product of every factor row (the
   PTS search builds its rows so; a one-row product may differ);
@@ -92,9 +95,9 @@ from ofdm_papr import (
     write_result,
 )
 from ofdm_papr import harness
-from ofdm_papr.frame import pick_min, spend_power
-from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_scores, pts_width
-from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates
+from ofdm_papr.frame import pick_min, search_width, spend_power
+from ofdm_papr.pts import _factor_matrix, pts_candidates, pts_scores, pts_stride
+from ofdm_papr.slm import PHASE_ALPHABET, slm_candidates, slm_scores, slm_stride
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -182,7 +185,8 @@ def test_a_run_at_odd_l_and_any_n_matches_the_public_functions(n, v, method):
 def chunk_width(config):
     """Samples of the run's block per trial of the chunk: what its budget counts."""
     c, n, oversample = harness._candidates(config), config.n_subcarriers, config.oversample
-    return pts_width(c, n, oversample) if config.method is Method.PTS else c * oversample * n
+    stride = pts_stride(oversample) if config.method is Method.PTS else slm_stride(c, oversample)
+    return search_width(c, n, oversample, stride)
 
 
 @pytest.mark.single_thread
@@ -193,8 +197,8 @@ def chunk_width(config):
 @given(configs(), st.integers(2, 6))
 def test_the_chunk_size_changes_no_byte(method, oversample, modulation, config, drawn):
     # run_experiment searches its trials in chunks of T, sized from a private
-    # budget of samples per method (C*L*N per trial for none and SLM,
-    # pts_width for PTS), and reuses one candidate block across them.  T=1
+    # budget of samples per method (search_width per trial, at the method's
+    # stride), and reuses one candidate block across them.  T=1
     # and a drawn T must give the bytes of the default T; more
     # trials than the drawn T make two chunks or more, the last often ragged.
     # Stream keys are derived in blocks of their own size: blocks of T+1
@@ -295,8 +299,8 @@ def csv_bytes(result):
 @given(shared_searches(), st.booleans())
 def test_a_shared_search_gives_each_config_its_own_run(configs_and_rows, analytic):
     configs, rows = configs_and_rows
-    widest = max(c.slm_branches for c in configs if c.method is Method.SLM)
-    budget = rows * widest * configs[0].oversample * configs[0].n_subcarriers
+    widest = max((c for c in configs if c.method is Method.SLM), key=lambda c: c.slm_branches)
+    budget = rows * chunk_width(widest)
     with mock.patch.object(harness, "_CHUNK_SAMPLES", budget):
         results = run_experiments(configs, analytic)
     assert [result.config for result in results] == configs
@@ -507,6 +511,50 @@ def test_the_pruned_pts_search_picks_what_full_scoring_picks(n_w_v, modulation, 
     scored = np.isfinite(pruned)
     assert scored[:, 0].all()
     assert scored.all() or oversample >= 4
+    assert pruned[scored].tobytes() == full[scored].tobytes()
+
+
+@st.composite
+def member_widths(draw):
+    """Sorted distinct member widths of a shared SLM search, the last M."""
+    return sorted(set(draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))))
+
+
+@pytest.mark.numpy_release
+@SETTINGS
+@given(st.sampled_from([1, 2, 6, 8, 12, 15, 16]), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9]),
+       st.sampled_from(ModulationScheme), member_widths(), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+# floor(L/2) divides neither L=5 nor L=9: the strides are 1 and 3.
+@example(16, 5, ModulationScheme.QPSK, [2, 5, 16], 3, 0)
+@example(15, 9, ModulationScheme.BPSK, [1, 4, 12], 4, 1)
+@example(8, 9, ModulationScheme.QPSK, [3, 16], 2, 2)
+def test_the_pruned_slm_search_picks_what_full_scoring_picks(n, oversample, modulation, widths,
+                                                             trials, seed):
+    # Each member width picks from its own prefix of the scores, and must
+    # pick there what full scoring picks, ties included: BPSK at small N
+    # ties often in exact arithmetic.  At s = 1 (L <= 3, prime L) the bound
+    # is the score, and every candidate is scored.  The bytes rest on a
+    # batched transform row equalling that row alone.
+    m = widths[-1]
+    rng = np.random.default_rng(seed)
+    table = modulation.symbol_table
+    symbols = table[rng.integers(0, table.size, (trials, n))]
+    rotations = np.ones((trials, m, n), dtype=np.complex128)
+    rotations[:, 1:] = PHASE_ALPHABET[rng.integers(0, PHASE_ALPHABET.size, (trials, m - 1, n))]
+    block = np.empty((trials, m, oversample * n), dtype=np.complex128)
+    full = oversample * spend_power(
+        slm_candidates(symbols, rotations, oversample, block)).max(axis=-1)
+    # The spent block is the search's scratch: what it holds must not matter.
+    pruned = slm_scores(symbols, rotations, oversample, block.reshape(trials, -1), widths)
+    for width in widths:
+        index = pick_min(full[:, :width])
+        assert pick_min(pruned[:, :width]).tobytes() == index.tobytes()
+        winners = np.arange(trials), index
+        assert pruned[winners].tobytes() == full[winners].tobytes()
+    scored = np.isfinite(pruned)
+    assert scored[:, 0].all()
+    assert scored.all() or slm_stride(m, oversample) > 1
     assert pruned[scored].tobytes() == full[scored].tobytes()
 
 
